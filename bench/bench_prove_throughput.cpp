@@ -122,9 +122,6 @@ void run_batch_solver(benchmark::State& state, const Family& fam, solve::Backend
 void BM_ProveSolverGreedy(benchmark::State& state) {
   run_batch_solver(state, kRandomTree, solve::Backend::kGreedy);
 }
-void BM_ProveSolverWarmFlow(benchmark::State& state) {
-  run_batch_solver(state, kRandomTree, solve::Backend::kWarmFlow);
-}
 void BM_ProveSolverColdFlow(benchmark::State& state) {
   run_batch_solver(state, kRandomTree, solve::Backend::kColdFlow);
 }
@@ -132,7 +129,6 @@ void BM_ProveSolverSat(benchmark::State& state) {
   run_batch_solver(state, kRandomTree, solve::Backend::kSat);
 }
 BENCHMARK(BM_ProveSolverGreedy)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_ProveSolverWarmFlow)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_ProveSolverColdFlow)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_ProveSolverSat)->Arg(1024)->Arg(4096);
 

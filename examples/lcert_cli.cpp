@@ -16,9 +16,7 @@
 //                                           # random-tree) for the scheme's
 //                                           # default yes-instance; --solver
 //                                           # picks the feasibility backend
-//                                           # (greedy|warm-flow|cold-flow|sat;
-//                                           # --feas-tier-max is a deprecated
-//                                           # alias)
+//                                           # (greedy|cold-flow|sat)
 //   lcert_cli fuzz <scheme|all> [flags]     # differential fuzzing campaign
 //   lcert_cli apply-edit <scheme> <file|-> <spec>... [--threads T] [--check]
 //                                           # certify a graph, then stream
@@ -108,30 +106,6 @@ std::optional<solve::Backend> lookup_solver(const std::string& name) {
   if (!backend.has_value())
     std::fprintf(stderr, "error: unknown solver '%s'; valid solvers: %s\n",
                  name.c_str(), solve::backend_listing().c_str());
-  return backend;
-}
-
-/// Deprecated --feas-tier-max alias: tier numbers map onto the backend that
-/// used to sit at that tier (0=cold-flow, 1=greedy, 2=warm-flow). Out-of-range
-/// tiers are rejected with the backend listing (they used to be accepted
-/// silently); in-range ones warn once and select the named solver.
-std::optional<solve::Backend> solver_from_tier_flag(const std::string& value) {
-  const int tier = std::stoi(value);
-  const auto backend = solve::backend_from_tier(tier);
-  if (!backend.has_value()) {
-    std::fprintf(stderr,
-                 "error: --feas-tier-max %d is out of range; use --solver with "
-                 "one of: %s\n",
-                 tier, solve::backend_listing().c_str());
-    return std::nullopt;
-  }
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "warning: --feas-tier-max is deprecated; use --solver %s\n",
-                 solve::backend_name(*backend));
-  }
   return backend;
 }
 
@@ -299,12 +273,6 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
       const auto backend = lookup_solver(args[++i]);
       if (!backend.has_value()) return 2;
       options.solver = *backend;
-    } else if (flag == "--feas-tier-max") {
-      if (i + 1 >= args.size())
-        throw std::invalid_argument("missing value for --feas-tier-max");
-      const auto backend = solver_from_tier_flag(args[++i]);
-      if (!backend.has_value()) return 2;
-      options.solver = *backend;
     } else if (!flag.empty() && flag[0] != '-') {
       n = std::stoul(flag);
     } else {
@@ -404,13 +372,6 @@ FuzzCliOptions parse_fuzz_flags(const std::vector<std::string>& args, std::size_
       const auto backend = solve::parse_backend(value());
       if (!backend.has_value())
         throw std::invalid_argument(std::string("unknown solver; valid solvers: ") +
-                                    solve::backend_listing());
-      out.campaign.attack.solver = *backend;
-    } else if (flag == "--feas-tier-max") {
-      const auto backend = solver_from_tier_flag(value());
-      if (!backend.has_value())
-        throw std::invalid_argument(std::string("--feas-tier-max out of range; valid "
-                                                "solvers: ") +
                                     solve::backend_listing());
       out.campaign.attack.solver = *backend;
     }
@@ -720,14 +681,22 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
     // Drawing the edit is untimed — it is workload generation, not repair.
     // Property-breaking edits are redrawn (the watch workload measures the
     // repair cost on instances that stay certifiable; certified/uncertified
-    // transitions are the fuzz oracle's territory).
+    // transitions are the fuzz oracle's territory). So are edits that take
+    // the instance where holds() cannot decide it (std::invalid_argument:
+    // outside the promise, or past the exact treedepth solver's size limit),
+    // exactly as the fuzz campaign skips such trials.
     std::optional<GraphEdit> edit;
     std::optional<Graph> next;
     for (std::size_t attempt = 0; attempt < 16; ++attempt) {
       edit = fuzz::draw_edit(cur, kinds[rng.index(kinds.size())], rng);
       if (!edit.has_value()) continue;
       next = apply_edit(cur, *edit);
-      if (scheme->holds(*next)) break;
+      bool certifiable = false;
+      try {
+        certifiable = scheme->holds(*next);
+      } catch (const std::invalid_argument&) {
+      }
+      if (certifiable) break;
       ++rejected_draws;
       edit.reset();
     }
@@ -866,7 +835,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: lcert_cli list | demo <scheme> [n] | run <scheme> <file|-> | "
                "audit <scheme|all> [n] | prove <scheme> [n] [--threads T] [--no-memo] "
-               "[--family F] [--solver greedy|warm-flow|cold-flow|sat] | "
+               "[--family F] [--solver greedy|cold-flow|sat] | "
                "fuzz <scheme|all> [--trials N] [--time-budget S] "
                "[--seed S] [--threads T] [--base-n N] [--replay T] [--out DIR] "
                "[--solver S] | "

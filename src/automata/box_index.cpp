@@ -1,295 +1,44 @@
 #include "src/automata/box_index.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace lcert {
 
-namespace {
-
-// Word budget per BoxIndex for all bitset tables (segments + ladders):
-// 128k words == 1MB. A table that does not fit is simply not built; the
-// cursor then filters on fewer coordinates (still a sound superset).
-constexpr std::size_t kWordBudget = 131072;
-// At most this many segment indexes feed a containment cursor; past the
-// few most selective coordinates extra streams cost more than they prune.
-constexpr std::size_t kMaxContainmentStreams = 4;
-// Below this many boxes a direct ascending SoA scan beats building a
-// cursor (the canonical DNF of most automata is 1-3 boxes per state; the
-// filters only pay for themselves on post-cliff outliers). The scan visits
-// candidates in the same ascending order, so the first-match contract is
-// unaffected.
-constexpr std::size_t kLinearScanCutoff = 16;
-
-std::size_t segment_of(const std::vector<std::size_t>& breakpoints, std::size_t v) {
-  // breakpoints[0] == 0 and v >= 0, so the upper_bound is never begin().
-  return static_cast<std::size_t>(
-             std::upper_bound(breakpoints.begin(), breakpoints.end(), v) -
-             breakpoints.begin()) -
-         1;
-}
-
-}  // namespace
-
-std::size_t BoxIndex::Cursor::lowest_bit(std::uint64_t w) noexcept {
-  return static_cast<std::size_t>(std::countr_zero(w));
-}
-
 BoxIndex::BoxIndex(std::vector<IntervalBox> boxes) : boxes_(std::move(boxes)) {
   if (boxes_.empty()) return;
   arity_ = boxes_.front().lo.size();
-  for (const IntervalBox& b : boxes_)
+  lo_.reserve(boxes_.size() * arity_);
+  hi_.reserve(boxes_.size() * arity_);
+  lo_sum_.reserve(boxes_.size());
+  for (const IntervalBox& b : boxes_) {
     if (b.lo.size() != arity_ || b.hi.size() != arity_)
       throw std::invalid_argument("BoxIndex: mixed arity");
-  build();
-}
-
-void BoxIndex::build() {
-  const std::size_t n = boxes_.size();
-  word_count_ = (n + 63) / 64;
-
-  lo_.resize(n * arity_);
-  hi_.resize(n * arity_);
-  for (std::size_t i = 0; i < n; ++i)
+    std::size_t sum = 0;
     for (std::size_t q = 0; q < arity_; ++q) {
-      lo_[i * arity_ + q] = boxes_[i].lo[q];
-      hi_[i * arity_ + q] = boxes_[i].hi[q];
+      lo_.push_back(b.lo[q]);
+      hi_.push_back(b.hi[q]);
+      sum += b.lo[q];
     }
-
-  all_.assign(word_count_, ~std::uint64_t{0});
-  if (n % 64 != 0) all_.back() = (std::uint64_t{1} << (n % 64)) - 1;
-
-  std::size_t words_left = kWordBudget;
-
-  // --- Containment side -----------------------------------------------
-  // Coordinates where every box agrees collapse to one scalar check; the
-  // rest are scored by selectivity (expected fraction of boxes passing a
-  // uniformly random segment — lower prunes harder) and the best few get
-  // a segment table under the word budget.
-  struct Scored {
-    std::size_t coord;
-    double score;
-    std::vector<std::size_t> breakpoints;
-  };
-  std::vector<Scored> scored;
-  for (std::size_t q = 0; q < arity_; ++q) {
-    bool is_uniform = true;
-    for (std::size_t i = 1; i < n && is_uniform; ++i)
-      is_uniform = boxes_[i].lo[q] == boxes_[0].lo[q] &&
-                   boxes_[i].hi[q] == boxes_[0].hi[q];
-    if (is_uniform) {
-      const std::size_t ulo = boxes_[0].lo[q];
-      const std::size_t uhi = boxes_[0].hi[q];
-      if (ulo > 0 || uhi != IntervalBox::kUnbounded)
-        uniform_.push_back(UniformInterval{q, ulo, uhi});
-      continue;
-    }
-    std::vector<std::size_t> bp;
-    bp.reserve(2 * n + 1);
-    bp.push_back(0);
-    for (const IntervalBox& b : boxes_) {
-      bp.push_back(b.lo[q]);
-      if (b.hi[q] != IntervalBox::kUnbounded) bp.push_back(b.hi[q] + 1);
-    }
-    std::sort(bp.begin(), bp.end());
-    bp.erase(std::unique(bp.begin(), bp.end()), bp.end());
-    std::size_t covered = 0;
-    for (const IntervalBox& b : boxes_) {
-      const std::size_t first = segment_of(bp, b.lo[q]);
-      const std::size_t last = b.hi[q] == IntervalBox::kUnbounded
-                                   ? bp.size() - 1
-                                   : segment_of(bp, b.hi[q]);
-      covered += last - first + 1;
-    }
-    const double score =
-        static_cast<double>(covered) / (static_cast<double>(bp.size()) * n);
-    scored.push_back(Scored{q, score, std::move(bp)});
+    lo_sum_.push_back(sum);
   }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) { return a.score < b.score; });
-  for (Scored& s : scored) {
-    if (segments_.size() >= kMaxContainmentStreams) break;
-    if (s.score >= 0.95) break;  // barely prunes; not worth a stream
-    const std::size_t need = s.breakpoints.size() * word_count_;
-    if (need > words_left) continue;
-    words_left -= need;
-
-    SegmentIndex seg;
-    seg.coord = s.coord;
-    seg.breakpoints = std::move(s.breakpoints);
-    const std::size_t rows = seg.breakpoints.size();
-    seg.bits.assign(rows * word_count_, 0);
-    seg.full.assign(rows, 0);
-
-    // Sweep: per breakpoint, start events set a box bit, end events
-    // (hi + 1) clear it; each row is a snapshot of the active set.
-    std::vector<std::vector<std::size_t>> starts(rows), ends(rows);
-    for (std::size_t i = 0; i < n; ++i) {
-      starts[segment_of(seg.breakpoints, boxes_[i].lo[seg.coord])].push_back(i);
-      if (boxes_[i].hi[seg.coord] != IntervalBox::kUnbounded)
-        ends[segment_of(seg.breakpoints, boxes_[i].hi[seg.coord] + 1)].push_back(i);
-    }
-    std::vector<std::uint64_t> active(word_count_, 0);
-    std::size_t active_count = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (const std::size_t i : ends[r]) {
-        active[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-        --active_count;
-      }
-      for (const std::size_t i : starts[r]) {
-        active[i / 64] |= std::uint64_t{1} << (i % 64);
-        ++active_count;
-      }
-      std::copy(active.begin(), active.end(), seg.bits.begin() + r * word_count_);
-      seg.full[r] = active_count == n;
-    }
-    segments_.push_back(std::move(seg));
-  }
-
-  // --- Feasibility side -----------------------------------------------
-  // Necessary conditions only: lo[q] <= supply[q] per coordinate and
-  // sum(lo) <= child_count. Uniform lower bounds are scalar checks;
-  // varying ones become cumulative ladders.
-  std::vector<std::size_t> lo_sums(n, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t q = 0; q < arity_; ++q) lo_sums[i] += boxes_[i].lo[q];
-
-  const auto build_ladder = [&](std::size_t coord,
-                                const std::vector<std::size_t>& per_box) -> bool {
-    LoLadder lad;
-    lad.coord = coord;
-    lad.values = per_box;
-    std::sort(lad.values.begin(), lad.values.end());
-    lad.values.erase(std::unique(lad.values.begin(), lad.values.end()),
-                     lad.values.end());
-    const std::size_t need = lad.values.size() * word_count_;
-    if (need > words_left) return false;
-    words_left -= need;
-    lad.bits.assign(need, 0);
-    // Cumulative rows: row r holds every box whose value is <= values[r].
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t r = static_cast<std::size_t>(
-          std::lower_bound(lad.values.begin(), lad.values.end(), per_box[i]) -
-          lad.values.begin());
-      lad.bits[r * word_count_ + i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-    for (std::size_t r = 1; r < lad.values.size(); ++r)
-      for (std::size_t w = 0; w < word_count_; ++w)
-        lad.bits[r * word_count_ + w] |= lad.bits[(r - 1) * word_count_ + w];
-    ladders_.push_back(std::move(lad));
-    return true;
-  };
-
-  std::vector<std::size_t> per_box(n);
-  for (std::size_t q = 0; q < arity_; ++q) {
-    bool lo_uniform = true;
-    std::size_t max_lo = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      per_box[i] = boxes_[i].lo[q];
-      max_lo = std::max(max_lo, per_box[i]);
-      if (per_box[i] != boxes_[0].lo[q]) lo_uniform = false;
-    }
-    if (max_lo == 0) continue;  // lo <= supply always holds
-    if (lo_uniform) {
-      uniform_lo_.push_back(UniformLo{q, boxes_[0].lo[q]});
-      continue;
-    }
-    if (ladders_.size() + 1 >= Cursor::kMaxStreams) continue;  // slot for sum ladder
-    build_ladder(q, per_box);
-  }
-  bool sums_uniform = true;
-  for (std::size_t i = 1; i < n && sums_uniform; ++i)
-    sums_uniform = lo_sums[i] == lo_sums[0];
-  if (sums_uniform) {
-    has_uniform_lo_sum_ = true;
-    uniform_lo_sum_ = lo_sums[0];
-  } else {
-    build_ladder(npos, lo_sums);
-  }
-}
-
-BoxIndex::Cursor BoxIndex::containment_candidates(const std::size_t* counts,
-                                                  std::size_t count_len) const {
-  Cursor cur;
-  // An empty index (unsatisfiable transition) has no inferable arity and
-  // matches nothing regardless of the probe width.
-  if (boxes_.empty()) return cur;
-  if (count_len != arity_)
-    throw std::invalid_argument("BoxIndex::containment_candidates: wrong arity");
-  for (const UniformInterval& u : uniform_) {
-    const std::size_t v = counts[u.coord];
-    if (v < u.lo || (u.hi != IntervalBox::kUnbounded && v > u.hi)) return cur;
-  }
-  cur.word_count_ = word_count_;
-  for (const SegmentIndex& seg : segments_) {
-    const std::size_t r = segment_of(seg.breakpoints, counts[seg.coord]);
-    if (seg.full[r]) continue;
-    cur.streams_[cur.stream_count_++] = seg.bits.data() + r * word_count_;
-  }
-  if (cur.stream_count_ == 0) cur.streams_[cur.stream_count_++] = all_.data();
-  return cur;
-}
-
-BoxIndex::Cursor BoxIndex::feasibility_candidates(const std::size_t* supply,
-                                                  std::size_t child_count) const {
-  Cursor cur;
-  if (boxes_.empty()) return cur;
-  for (const UniformLo& u : uniform_lo_)
-    if (supply[u.coord] < u.lo) return cur;
-  if (has_uniform_lo_sum_ && uniform_lo_sum_ > child_count) return cur;
-  cur.word_count_ = word_count_;
-  for (const LoLadder& lad : ladders_) {
-    const std::size_t s = lad.coord == npos ? child_count : supply[lad.coord];
-    if (s >= lad.values.back()) continue;  // every box passes this condition
-    if (s < lad.values.front()) {          // no box passes
-      cur.word_count_ = 0;
-      cur.stream_count_ = 0;
-      return cur;
-    }
-    const std::size_t r = static_cast<std::size_t>(
-        std::upper_bound(lad.values.begin(), lad.values.end(), s) -
-        lad.values.begin()) -
-        1;
-    cur.streams_[cur.stream_count_++] = lad.bits.data() + r * word_count_;
-  }
-  if (cur.stream_count_ == 0) cur.streams_[cur.stream_count_++] = all_.data();
-  return cur;
 }
 
 BoxIndex::Hit BoxIndex::first_containing(const std::size_t* counts,
                                          std::size_t count_len) const {
   Hit hit;
-  if (boxes_.size() <= kLinearScanCutoff) {
-    if (!boxes_.empty() && count_len != arity_)
-      throw std::invalid_argument("BoxIndex::first_containing: wrong arity");
-    for (std::size_t i = 0; i < boxes_.size(); ++i) {
-      ++hit.probes;
-      if (contains_soa(i, counts)) {
-        hit.index = i;
-        return hit;
-      }
-    }
-    return hit;
-  }
-  Cursor cur = containment_candidates(counts, count_len);
-  for (std::size_t i = cur.next(); i != npos; i = cur.next()) {
-    ++hit.probes;
-    if (contains_soa(i, counts)) {
-      hit.index = i;
-      return hit;
-    }
-  }
-  return hit;
-}
-
-BoxIndex::Hit BoxIndex::first_containing_linear(const std::size_t* counts,
-                                                std::size_t count_len) const {
-  Hit hit;
+  if (boxes_.empty()) return hit;
+  if (count_len != arity_)
+    throw std::invalid_argument("BoxIndex::first_containing: wrong arity");
   for (std::size_t i = 0; i < boxes_.size(); ++i) {
     ++hit.probes;
-    if (boxes_[i].contains(counts, count_len)) {
+    const std::size_t* lo = lo_.data() + i * arity_;
+    const std::size_t* hi = hi_.data() + i * arity_;
+    bool inside = true;
+    for (std::size_t q = 0; q < arity_ && inside; ++q)
+      inside = counts[q] >= lo[q] &&
+               (hi[q] == IntervalBox::kUnbounded || counts[q] <= hi[q]);
+    if (inside) {
       hit.index = i;
       return hit;
     }

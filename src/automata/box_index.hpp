@@ -1,33 +1,12 @@
-// Per-state first-match index over a DNF of interval boxes (DESIGN.md §16).
+// Per-state box list of a canonical interval-box DNF (DESIGN.md §16).
 //
 // The verifier's transition check and the prover's feasibility sweep both ask
 // the same shape of question against a state's box list: "which is the FIRST
-// box (in DNF order) that ...?". Before this index the answer was a linear
-// sweep — ~29k boxes for the leaves>=4 automaton's worst state, ~140µs per
-// vertex. BoxIndex answers it through per-coordinate bitset filters while
-// preserving the exact first-match order of the linear sweep, so certificates
-// and accepting runs stay bit-identical (the determinism contract; pinned by
-// the box-index-divergence fuzz oracle and the first-match identity tests).
-//
-// Layout (built once per (state, label) at scheme construction):
-//   - struct-of-arrays lo/hi for the final exact containment test;
-//   - containment filter: for the most selective discriminating coordinates,
-//     a sorted endpoint sweep — breakpoints partition the value axis into
-//     segments, each segment carrying a bitset of the boxes whose interval
-//     covers it; a point query ANDs one bitset per indexed coordinate;
-//   - feasibility filter: cumulative "lo ladders" — per indexed coordinate,
-//     sorted distinct lower bounds with bitsets of the boxes whose lo is <=
-//     each value (plus one ladder over per-box lo sums), queried with the
-//     children's per-state supply;
-//   - coordinates uniform across all boxes collapse to one scalar check.
-//
-// Both filters only drop boxes a full test would reject (containment filters
-// are per-coordinate necessary conditions; feasibility filters are the
-// necessary conditions lo[q] <= supply[q] and sum(lo) <= child_count), so
-// iterating surviving candidates in index order visits the first matching /
-// first feasible box exactly as the linear sweep would. A memory budget caps
-// the bitset tables; whatever does not fit falls back to "all boxes pass",
-// which degrades speed, never answers.
+// box (in DNF order) that ...?". After canonicalization (canonicalize_boxes)
+// the largest DNF of any library automaton has 7 boxes, so a linear sweep
+// over struct-of-arrays lo/hi rows answers both questions directly. The
+// stored order is the first-match order; certificates and accepting runs
+// depend on it and on nothing else.
 #pragma once
 
 #include <cstddef>
@@ -54,111 +33,36 @@ class BoxIndex {
 
   struct Hit {
     std::size_t index = npos;  ///< first containing box in DNF order
-    std::size_t probes = 0;    ///< candidates fully tested to find it
+    std::size_t probes = 0;    ///< boxes tested to find it
   };
 
-  /// First box containing `counts` — same index as a linear sweep, fed by
-  /// the containment filter. Throws on arity mismatch.
+  /// First box containing `counts`, by a linear sweep over the SoA rows.
+  /// Throws on arity mismatch (an empty index matches nothing at any width).
   Hit first_containing(const std::size_t* counts, std::size_t count_len) const;
   Hit first_containing(const std::vector<std::size_t>& counts) const {
     return first_containing(counts.data(), counts.size());
   }
 
-  /// Reference linear sweep over the same box list (no filter). The
-  /// divergence oracle, tests and the cliff benchmark compare against this.
-  Hit first_containing_linear(const std::size_t* counts, std::size_t count_len) const;
-
-  /// Streams candidate box indices in ascending (DNF) order; next() returns
-  /// npos when exhausted. Default-constructed cursors are empty.
-  class Cursor {
-   public:
-    std::size_t next() noexcept {
-      while (true) {
-        if (pending_ != 0) {
-          const std::size_t i = base_ + lowest_bit(pending_);
-          pending_ &= pending_ - 1;
-          return i;
-        }
-        if (word_ >= word_count_) return npos;
-        std::uint64_t acc = ~std::uint64_t{0};
-        for (int s = 0; s < stream_count_; ++s) acc &= streams_[s][word_];
-        pending_ = acc;
-        base_ = word_ * 64;
-        ++word_;
-      }
-    }
-
-   private:
-    friend class BoxIndex;
-    static std::size_t lowest_bit(std::uint64_t w) noexcept;
-
-    static constexpr int kMaxStreams = 12;
-    const std::uint64_t* streams_[kMaxStreams] = {};
-    int stream_count_ = 0;
-    std::size_t word_count_ = 0;  ///< 0 == exhausted/empty cursor
-    std::size_t word_ = 0;
-    std::size_t base_ = 0;
-    std::uint64_t pending_ = 0;
-  };
-
-  /// Candidates that may contain `counts` (superset of the containing
-  /// boxes; exact on indexed/uniform coordinates).
-  Cursor containment_candidates(const std::size_t* counts, std::size_t count_len) const;
-
-  /// Candidates that may be feasible for children with the given per-state
-  /// `supply` (supply[q] = #children whose mask allows state q) and
-  /// `child_count` children. Skips only boxes violating the necessary
-  /// conditions lo[q] <= supply[q] (indexed/uniform coordinates) or
-  /// sum(lo) > child_count — so the first feasible candidate equals the
-  /// first feasible box of a full sweep. `supply` must have arity() entries.
-  Cursor feasibility_candidates(const std::size_t* supply, std::size_t child_count) const;
-
- private:
-  struct SegmentIndex {
-    std::size_t coord = 0;
-    std::vector<std::size_t> breakpoints;  ///< ascending, breakpoints[0] == 0
-    std::vector<std::uint64_t> bits;       ///< breakpoints.size() x word_count
-    std::vector<std::uint8_t> full;        ///< per segment: every box covers it
-  };
-  struct LoLadder {
-    std::size_t coord = npos;        ///< npos == per-box sum of lower bounds
-    std::vector<std::size_t> values; ///< ascending distinct lo (or lo-sum) values
-    std::vector<std::uint64_t> bits; ///< cumulative, values.size() x word_count
-  };
-  struct UniformInterval {
-    std::size_t coord = 0;
-    std::size_t lo = 0;
-    std::size_t hi = IntervalBox::kUnbounded;
-  };
-  struct UniformLo {
-    std::size_t coord = 0;
-    std::size_t lo = 0;  ///< > 0 (a zero lower bound never filters)
-  };
-
-  bool contains_soa(std::size_t i, const std::size_t* counts) const noexcept {
+  /// False when box i fails a necessary condition of feasibility for
+  /// children with per-state `supply` (supply[q] = #children whose mask
+  /// allows state q, arity() entries) and `child_count` children: some
+  /// lo[q] > supply[q], or sum(lo) > child_count. Every exact decision
+  /// procedure rejects such a box, so sweeps may skip it unasked.
+  bool may_be_feasible(std::size_t i, const std::size_t* supply,
+                       std::size_t child_count) const noexcept {
+    if (lo_sum_[i] > child_count) return false;
     const std::size_t* lo = lo_.data() + i * arity_;
-    const std::size_t* hi = hi_.data() + i * arity_;
     for (std::size_t q = 0; q < arity_; ++q)
-      if (counts[q] < lo[q] ||
-          (hi[q] != IntervalBox::kUnbounded && counts[q] > hi[q]))
-        return false;
+      if (lo[q] > supply[q]) return false;
     return true;
   }
 
-  void build();
-
+ private:
   std::vector<IntervalBox> boxes_;
   std::size_t arity_ = 0;
-  std::size_t word_count_ = 0;
-  std::vector<std::size_t> lo_;  ///< SoA, size() x arity()
-  std::vector<std::size_t> hi_;
-  std::vector<SegmentIndex> segments_;
-  std::vector<UniformInterval> uniform_;
-  std::vector<LoLadder> ladders_;
-  std::vector<UniformLo> uniform_lo_;
-  bool has_uniform_lo_sum_ = false;
-  std::size_t uniform_lo_sum_ = 0;
-  std::vector<std::uint64_t> all_;  ///< size() bits set, last word masked
+  std::vector<std::size_t> lo_;      ///< SoA, size() x arity()
+  std::vector<std::size_t> hi_;      ///< SoA, size() x arity()
+  std::vector<std::size_t> lo_sum_;  ///< per box: sum of lower bounds
 };
 
 }  // namespace lcert

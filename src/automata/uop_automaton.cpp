@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "src/automata/box_index.hpp"
 #include "src/solve/solver.hpp"
 #include "src/util/flow.hpp"
 
@@ -183,18 +182,28 @@ bool uop_assign_children_masked(std::span<const std::uint64_t> child_masks,
 
 std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t,
                                       const std::vector<std::size_t>* labels) {
-  a.validate();
-  if (labels != nullptr && labels->size() != t.size())
-    throw std::invalid_argument("find_accepting_run: labels size mismatch");
-
-  // Pre-compute the indexed canonical boxes per (state, label) — the same
-  // compilation MsoTreeScheme holds, so the "first feasible box" both paths
-  // land on is the same box.
+  // The canonical boxes per (state, label) — the same compilation
+  // MsoTreeScheme holds, so the "first feasible box" both paths land on is
+  // the same box.
   std::vector<BoxIndex> boxes;
   boxes.reserve(a.state_count * a.label_count);
   for (std::size_t q = 0; q < a.state_count; ++q)
     for (std::size_t l = 0; l < a.label_count; ++l)
       boxes.emplace_back(a.transition(q, l).to_boxes(a.state_count));
+  return find_accepting_run(a, t, boxes, labels);
+}
+
+std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t,
+                                      std::span<const BoxIndex> boxes,
+                                      const std::vector<std::size_t>* labels) {
+  a.validate();
+  if (labels != nullptr && labels->size() != t.size())
+    throw std::invalid_argument("find_accepting_run: labels size mismatch");
+  if (boxes.size() != a.state_count * a.label_count)
+    throw std::invalid_argument("find_accepting_run: one box list per (state, label)");
+  for (const BoxIndex& idx : boxes)
+    if (idx.size() != 0 && idx.arity() != a.state_count)
+      throw std::invalid_argument("find_accepting_run: box arity differs from the state count");
 
   const auto order = t.preorder();
 
@@ -239,7 +248,7 @@ std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t
       feas->begin(child_masks, k);
       const BoxIndex& idx = boxes[q * a.label_count + label_of(labels, v)];
       // decide_first is exact: it skips only boxes the full sweep would
-      // reject, so this is the same first box as the pre-index linear scan.
+      // reject, so this is the same first box as a plain decide() sweep.
       const std::size_t bi = feas->decide_first(idx);
       if (bi == BoxIndex::npos)
         throw std::logic_error("find_accepting_run: extraction failed");
@@ -254,10 +263,10 @@ std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t
     return run;
   }
 
-  // Reference path for automata too wide for 64-bit masks. The index's
-  // feasibility candidates drop only boxes whose necessary conditions
-  // (lo <= supply, lo-sum <= child count) fail — assign_children rejects
-  // those too, so the first candidate it accepts is the first box overall.
+  // Reference path for automata too wide for 64-bit masks. The sweep skips
+  // only boxes whose necessary conditions (lo <= supply, lo-sum <= child
+  // count) fail — assign_children rejects those too, so the first box it
+  // accepts is the first box overall.
   std::vector<std::vector<bool>> feasible(t.size(),
                                           std::vector<bool>(a.state_count, false));
   std::vector<std::size_t> supply(a.state_count);
@@ -275,8 +284,8 @@ std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t
     compute_supply(children);
     for (std::size_t q = 0; q < a.state_count; ++q) {
       const BoxIndex& idx = boxes[q * a.label_count + label_of(labels, v)];
-      auto cur = idx.feasibility_candidates(supply.data(), children.size());
-      for (std::size_t bi = cur.next(); bi != BoxIndex::npos; bi = cur.next()) {
+      for (std::size_t bi = 0; bi < idx.size(); ++bi) {
+        if (!idx.may_be_feasible(bi, supply.data(), children.size())) continue;
         if (assign_children(children, feasible, idx.box(bi), a.state_count,
                             scratch_assignment)) {
           feasible[v][q] = true;
@@ -306,8 +315,8 @@ std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t
     compute_supply(children);
     bool placed = false;
     const BoxIndex& idx = boxes[q * a.label_count + label_of(labels, v)];
-    auto cur = idx.feasibility_candidates(supply.data(), children.size());
-    for (std::size_t bi = cur.next(); bi != BoxIndex::npos; bi = cur.next()) {
+    for (std::size_t bi = 0; bi < idx.size(); ++bi) {
+      if (!idx.may_be_feasible(bi, supply.data(), children.size())) continue;
       std::vector<std::size_t> assignment;
       if (assign_children(children, feasible, idx.box(bi), a.state_count, assignment)) {
         for (std::size_t i = 0; i < children.size(); ++i) run[children[i]] = assignment[i];

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/automata/box_index.hpp"
 #include "src/automata/presburger.hpp"
 #include "src/graph/rooted_tree.hpp"
 
@@ -73,6 +74,15 @@ bool is_accepting_run(const UOPAutomaton& a, const RootedTree& t, const Run& run
 /// one of the constraint's interval boxes?") is solved as a bounded-flow
 /// feasibility problem.
 std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t,
+                                      const std::vector<std::size_t>* labels = nullptr);
+
+/// find_accepting_run with the transition DNFs already built: boxes[q *
+/// a.label_count + label] must hold the canonical boxes of
+/// a.transition(q, label), i.e. BoxIndex(transition.to_boxes(state_count)).
+/// The overload above builds exactly that list and delegates here; callers
+/// that keep the list (MsoTreeScheme) skip re-expanding the DNF per call.
+std::optional<Run> find_accepting_run(const UOPAutomaton& a, const RootedTree& t,
+                                      std::span<const BoxIndex> boxes,
                                       const std::vector<std::size_t>* labels = nullptr);
 
 /// Language membership.

@@ -121,6 +121,8 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
     return std::nullopt;
   }
   const UOPAutomaton& a = *surface->automaton;
+  if (surface->boxes.size() != a.state_count)
+    throw std::logic_error("sat-run attack: the surface must carry one box list per state");
   if (a.label_count != 1 || a.state_count > 64) {
     out.applicable = false;
     out.detail = "unsupported automaton shape (labels or >64 states)";
@@ -135,10 +137,7 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
   }
 
   const std::size_t k = a.state_count;
-  std::vector<BoxIndex> boxes;
-  boxes.reserve(k);
-  for (std::size_t q = 0; q < k; ++q)
-    boxes.emplace_back(a.transition(q, 0).to_boxes(k));
+  const std::span<const BoxIndex> boxes = surface->boxes;
 
   const auto solver = solve::SolverFactory::make(solve::Backend::kSat);
   const AuditMetrics& metrics = audit_metrics();
@@ -190,13 +189,14 @@ std::optional<std::vector<Certificate>> sat_run_attack(const AttackContext& ctx,
       for (std::size_t c : children_span) child_masks.push_back(feasible[c]);
       solver->begin(child_masks, k);
       bool placed = false;
-      // Candidate iteration: the cursor drops only boxes decide_witness
+      // Same sweep as decide_first: the skipped boxes are ones decide_witness
       // would reject on the necessary conditions, so the witness comes from
       // the same box a full sweep would pick.
-      auto cur = boxes[q].feasibility_candidates(solver->supply().data(),
-                                                 child_masks.size());
-      for (std::size_t bi = cur.next(); bi != BoxIndex::npos; bi = cur.next()) {
-        if (!solver->decide_witness(boxes[q].box(bi), witness)) continue;
+      const BoxIndex& idx = boxes[q];
+      for (std::size_t bi = 0; bi < idx.size(); ++bi) {
+        if (!idx.may_be_feasible(bi, solver->supply().data(), child_masks.size()))
+          continue;
+        if (!solver->decide_witness(idx.box(bi), witness)) continue;
         for (std::size_t i = 0; i < children_span.size(); ++i)
           run[children_span[i]] = witness[i];
         placed = true;

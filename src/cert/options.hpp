@@ -56,8 +56,8 @@ struct RunOptions {
   bool memoize = true;
 
   /// Which FeasibilitySolver backend (src/solve/) decides the per-vertex UOP
-  /// assignment problem: warm-flow (default), greedy, cold-flow (the pristine
-  /// reference) or sat. Like `memoize`, a debugging/benchmarking/differential
+  /// assignment problem: greedy (default), cold-flow (the pristine reference)
+  /// or sat. Like `memoize`, a debugging/benchmarking/differential
   /// knob: output is bit-identical under every backend (pinned by tests and
   /// the solver-divergence fuzz oracle).
   solve::Backend solver = solve::kDefaultBackend;

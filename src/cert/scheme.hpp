@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/automata/box_index.hpp"
 #include "src/cert/options.hpp"
 #include "src/graph/edit.hpp"
 #include "src/graph/graph.hpp"
@@ -211,6 +212,11 @@ class IncrementalProver {
 /// that exhausts every rooting has proven this attack family empty.
 struct RunForgerySurface {
   const UOPAutomaton* automaton = nullptr;
+  /// The automaton's transition DNFs, one per state in state order:
+  /// boxes[q] holds the canonical boxes of automaton->transition(q), i.e.
+  /// BoxIndex(transition(q).to_boxes(state_count)). Borrowed from the
+  /// scheme, which builds them once, so attacks never re-expand a DNF.
+  std::span<const BoxIndex> boxes;
   /// Encodes one vertex of a run: the vertex's depth below the chosen root
   /// (mod 3, the orientation gadget) and its automaton state.
   std::function<Certificate(std::size_t depth_mod3, std::size_t state)> encode;

@@ -139,26 +139,31 @@ std::optional<CheckOutcome> incremental_divergence(const Scheme& scheme,
   return std::nullopt;
 }
 
-/// Oracle 10: the BoxIndex must be invisible. For every state of the
-/// scheme's automaton it rebuilds the canonical index and demands, on random
-/// probes, (a) indexed first_containing == the reference linear sweep's
-/// first match, (b) canonical-DNF membership == the constraint AST's eval()
-/// (exactness of canonicalize_boxes end to end), and (c) decide_first
-/// through the feasibility-candidate cursor == a full per-box decide sweep
-/// on the cold-flow reference backend. Runs last in the battery so its rng
-/// draws never shift the streams of the older oracles.
+/// Oracle 10: the scheme's box lists must be invisible. For every state of
+/// the scheme's automaton it takes the canonical box list the scheme holds
+/// (the run-forgery surface's boxes) and demands, on random probes, (a) the
+/// SoA first_containing == the first box whose IntervalBox::contains accepts
+/// the probe, (b) canonical-DNF membership == the constraint AST's eval()
+/// (exactness of canonicalize_boxes end to end), and (c) decide_first, with
+/// its necessary-condition skip, == a full per-box decide sweep on the
+/// cold-flow reference backend. Runs last in the battery so its rng draws
+/// never shift the streams of the older oracles.
 std::optional<CheckOutcome> box_index_divergence(const Scheme& scheme, Rng& rng) {
   const auto surface = scheme.run_forgery_surface();
   if (!surface.has_value() || surface->automaton == nullptr) return std::nullopt;
   const UOPAutomaton& a = *surface->automaton;
   if (a.label_count != 1) return std::nullopt;
   const std::size_t k = a.state_count;
+  if (surface->boxes.size() != k)
+    return violation(Oracle::kBoxIndexDivergence,
+                     "run-forgery surface carries " + std::to_string(surface->boxes.size()) +
+                         " box lists for " + std::to_string(k) + " states");
 
   std::vector<std::size_t> counts(k);
   std::vector<std::uint64_t> child_masks;
   for (std::size_t q = 0; q < k; ++q) {
     const UnaryConstraint& delta = a.transition(q, 0);
-    const BoxIndex idx(delta.to_boxes(k));
+    const BoxIndex& idx = surface->boxes[q];
 
     // Probe bound: beyond every finite endpoint the membership landscape is
     // constant, so counts in [0, bound + 2] reach every cell of the DNF.
@@ -171,25 +176,27 @@ std::optional<CheckOutcome> box_index_divergence(const Scheme& scheme, Rng& rng)
 
     for (int trial = 0; trial < 8; ++trial) {
       for (std::size_t c = 0; c < k; ++c) counts[c] = rng.index(bound + 3);
-      const BoxIndex::Hit lin = idx.first_containing_linear(counts.data(), k);
-      const BoxIndex::Hit fast = idx.first_containing(counts.data(), k);
-      if (lin.index != fast.index) {
+      std::size_t sweep = BoxIndex::npos;
+      for (std::size_t i = 0; i < idx.size() && sweep == BoxIndex::npos; ++i)
+        if (idx.box(i).contains(counts)) sweep = i;
+      const BoxIndex::Hit hit = idx.first_containing(counts.data(), k);
+      if (hit.index != sweep) {
         std::ostringstream os;
-        os << "state " << q << ": indexed first_containing=" << fast.index
-           << " but the linear sweep says " << lin.index;
+        os << "state " << q << ": first_containing=" << hit.index
+           << " but the IntervalBox sweep says " << sweep;
         return violation(Oracle::kBoxIndexDivergence, os.str());
       }
-      if ((fast.index != BoxIndex::npos) != delta.eval(counts)) {
+      if ((hit.index != BoxIndex::npos) != delta.eval(counts)) {
         std::ostringstream os;
         os << "state " << q << ": canonical DNF membership "
-           << (fast.index != BoxIndex::npos) << " disagrees with eval()";
+           << (hit.index != BoxIndex::npos) << " disagrees with eval()";
         return violation(Oracle::kBoxIndexDivergence, os.str());
       }
     }
 
     if (k > 64) continue;
-    // Candidate path: decide_first's feasibility cursor against a full
-    // decide sweep, both on the cold-flow reference backend.
+    // decide_first's skip against a full decide sweep, both on the
+    // cold-flow reference backend.
     const std::uint64_t keep =
         k == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << k) - 1);
     for (int trial = 0; trial < 4; ++trial) {

@@ -20,7 +20,7 @@
 //   soundness-forgery         attack_soundness forged an accepting
 //                             assignment on a no-instance
 //   solver-divergence         prove_assignment under some FeasibilitySolver
-//                             backend (greedy / warm-flow / cold-flow / sat)
+//                             backend (greedy / cold-flow / sat)
 //                             did not reproduce assign()'s certificates
 //                             bit-for-bit
 //   incremental-divergence    a CertifiedInstance driven by streaming edits
@@ -29,11 +29,11 @@
 //                             bit-identical after every edit), or its
 //                             radius-1 re-verification of the changed slice
 //                             rejected
-//   box-index-divergence      the per-state BoxIndex answered differently
-//                             from the reference linear sweep: first match
-//                             on a probe, canonical-DNF membership vs the
-//                             constraint's eval(), or decide_first vs a
-//                             full per-box decide sweep
+//   box-index-divergence      a per-state BoxIndex of the scheme answered
+//                             differently from a reference: first match vs
+//                             an IntervalBox::contains sweep, canonical-DNF
+//                             membership vs the constraint's eval(), or
+//                             decide_first vs a full per-box decide sweep
 #pragma once
 
 #include <optional>

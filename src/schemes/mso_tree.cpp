@@ -22,10 +22,10 @@ MsoTreeScheme::MsoTreeScheme(NamedAutomaton automaton)
   raw_boxes_per_state_.reserve(k);
   std::size_t raw_max = 0;
   for (std::size_t q = 0; q < k; ++q) {
-    // Expand the raw DNF once (for the gauge/attribution), canonicalize,
-    // index. The leaves>=4 cliff — ~29k raw boxes in one state — pays its
-    // expansion cost here, once per scheme, and collapses to a handful of
-    // canonical boxes every consumer then shares.
+    // Expand the raw DNF once (for the gauge/attribution) and canonicalize.
+    // The leaves>=4 cliff — ~29k raw boxes in one state — pays its expansion
+    // cost here, once per scheme, and collapses to a handful of canonical
+    // boxes every consumer then shares.
     std::vector<IntervalBox> raw = automaton_.automaton.transition(q).to_boxes_raw(k);
     raw_boxes_per_state_.push_back(raw.size());
     raw_max = std::max(raw_max, raw.size());
@@ -59,7 +59,7 @@ std::optional<std::vector<Certificate>> MsoTreeScheme::assign(const Graph& g) co
   if (!holds(g)) return std::nullopt;
   for (Vertex root : automaton_.good_roots(g)) {
     const RootedTree t = RootedTree::from_graph(g, root);
-    const auto run = find_accepting_run(automaton_.automaton, t);
+    const auto run = find_accepting_run(automaton_.automaton, t, transition_index_);
     if (!run.has_value()) continue;
     std::vector<Certificate> certs(g.vertex_count());
     for (Vertex v = 0; v < g.vertex_count(); ++v) {
@@ -76,6 +76,7 @@ std::optional<std::vector<Certificate>> MsoTreeScheme::assign(const Graph& g) co
 std::optional<RunForgerySurface> MsoTreeScheme::run_forgery_surface() const {
   RunForgerySurface surface;
   surface.automaton = &automaton_.automaton;
+  surface.boxes = transition_index_;
   // Mirrors assign()'s encoding exactly: 2 bits of depth mod 3, then the
   // state in state_bits_ (floor of 1) bits.
   const unsigned width = state_bits_ == 0 ? 1 : state_bits_;
@@ -183,9 +184,8 @@ inline bool verify_view(const ViewRef& view, std::size_t k, unsigned state_width
   if (parents > 1) return false;
   if (is_root && my_mod != 0) return false;
 
-  // Automaton transition (and acceptance at the root), via the indexed
-  // canonical DNF — first_containing answers with the identical first box
-  // a linear sweep of the canonical list would find.
+  // Automaton transition (and acceptance at the root), via a first-match
+  // sweep over the canonical DNF.
   const BoxIndex::Hit hit =
       transition_index[my_state].first_containing(child_state_counts, k);
   probes += hit.probes;

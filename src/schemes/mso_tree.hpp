@@ -93,10 +93,11 @@ class MsoTreeScheme final : public Scheme {
 
   NamedAutomaton automaton_;
   unsigned state_bits_;
-  /// transition(q) compiled to the canonical DNF and indexed once at
-  /// construction: the verifier runs per vertex per round, and the indexed
-  /// first-match probe replaces both the constraint-AST walk and the linear
-  /// box sweep (the leaves>=4 cliff) while answering with the identical box.
+  /// transition(q) compiled to the canonical DNF once at construction: the
+  /// verifier runs per vertex per round, and a first-match sweep over a
+  /// handful of canonical boxes replaces the constraint-AST walk (and the
+  /// ~29k-box raw sweep of the leaves>=4 cliff). assign(), the batch and
+  /// incremental provers and the run-forgery surface share these lists.
   std::vector<BoxIndex> transition_index_;
   /// Raw (pre-canonicalization) DNF size per state, kept for the
   /// boxes_per_state_raw gauge and slow-batch attribution.

@@ -6,7 +6,6 @@ const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::kColdFlow: return "cold-flow";
     case Backend::kGreedy: return "greedy";
-    case Backend::kWarmFlow: return "warm-flow";
     case Backend::kSat: return "sat";
   }
   return "unknown";
@@ -15,20 +14,10 @@ const char* backend_name(Backend backend) {
 std::optional<Backend> parse_backend(std::string_view name) {
   if (name == "cold-flow") return Backend::kColdFlow;
   if (name == "greedy") return Backend::kGreedy;
-  if (name == "warm-flow") return Backend::kWarmFlow;
   if (name == "sat") return Backend::kSat;
   return std::nullopt;
 }
 
-std::string backend_listing() { return "greedy|warm-flow|cold-flow|sat"; }
-
-std::optional<Backend> backend_from_tier(int tier) {
-  switch (tier) {
-    case 0: return Backend::kColdFlow;
-    case 1: return Backend::kGreedy;
-    case 2: return Backend::kWarmFlow;
-    default: return std::nullopt;
-  }
-}
+std::string backend_listing() { return "greedy|cold-flow|sat"; }
 
 }  // namespace lcert::solve

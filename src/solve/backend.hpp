@@ -5,11 +5,7 @@
 // answered by a pluggable backend selected by name. This header is
 // deliberately tiny — RunOptions embeds a Backend, and options.hpp is
 // included by every engine entry point, so the enum and its string mapping
-// must not drag the solver machinery (flow scratch, SAT core) along.
-//
-// The numeric values of the first three backends equal the old
-// RunOptions::feas_tier_max tiers they replaced; backend_from_tier() is the
-// deprecated-alias mapping the CLI leans on.
+// must not drag the solver machinery (flow construction, SAT core) along.
 #pragma once
 
 #include <optional>
@@ -19,28 +15,21 @@
 namespace lcert::solve {
 
 enum class Backend : int {
-  kColdFlow = 0,  ///< pristine bounded-flow build per query (reference)
-  kGreedy = 1,    ///< pruner + combinatorial decisions, cold-flow fallback
-  kWarmFlow = 2,  ///< pruner + combinatorial, warm Dinic fallback (default)
-  kSat = 3,       ///< pruner + DPLL on the cardinality encoding
+  kColdFlow,  ///< pristine bounded-flow build per query (reference)
+  kGreedy,    ///< pruner + combinatorial decisions, cold-flow fallback (default)
+  kSat,       ///< pruner + DPLL on the cardinality encoding
 };
 
-inline constexpr Backend kDefaultBackend = Backend::kWarmFlow;
-inline constexpr int kBackendCount = 4;
+inline constexpr Backend kDefaultBackend = Backend::kGreedy;
 
-/// Stable display name ("greedy", "warm-flow", "cold-flow", "sat").
+/// Stable display name ("greedy", "cold-flow", "sat").
 const char* backend_name(Backend backend);
 
 /// Inverse of backend_name; nullopt for unknown names.
 std::optional<Backend> parse_backend(std::string_view name);
 
-/// "greedy|warm-flow|cold-flow|sat" — the listing CLI errors print, in the
-/// same spirit as try_find_scheme's valid-keys listing.
+/// "greedy|cold-flow|sat" — the listing CLI errors print, in the same spirit
+/// as try_find_scheme's valid-keys listing.
 std::string backend_listing();
-
-/// Deprecated --feas-tier-max alias: tier 0 -> cold-flow, 1 -> greedy,
-/// 2 -> warm-flow. nullopt for every other value (the old engine silently
-/// clamped; the CLI now exits 2 with backend_listing()).
-std::optional<Backend> backend_from_tier(int tier);
 
 }  // namespace lcert::solve

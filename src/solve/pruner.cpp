@@ -20,7 +20,7 @@ Verdict BoxPruner::prune(const IntervalBox& box) {
   // Pristine pre-checks first, so their rejections resolve here. The raw-
   // supply reject is exact (raw supply >= effective supply, so it is a
   // subset of the effective-supply rejections below) but needs no per-box
-  // mask scan — the BoxIndex feasibility filter shares the same condition.
+  // mask scan — BoxIndex::may_be_feasible checks the same condition.
   lo_sum_ = 0;
   for (std::size_t q = 0; q < k; ++q) {
     if (box.hi[q] != IntervalBox::kUnbounded && box.lo[q] > box.hi[q])

@@ -6,7 +6,7 @@
 // backend's own decision procedure on whatever the pruner could not settle.
 // The pruner's contract is exactness: kFeasible/kInfeasible must equal the
 // boolean uop_assign_children_masked would return; kInconclusive says
-// nothing. That is what lets four very different backends share it and still
+// nothing. That is what lets very different backends share it and still
 // agree bit-for-bit (pinned by the brute-force cross-check tests and the
 // solver-divergence fuzz oracle).
 //
@@ -15,7 +15,7 @@
 // Hall cut on the finitely-capped side. combinatorial() adds the exact
 // subset-Hall zeta-transform (when no cap binds and at most 8 states carry
 // demand) and a most-constrained-first greedy witness — the rest of the old
-// greedy tier, used by the greedy and warm-flow backends but deliberately
+// greedy tier, used by the greedy backend but deliberately
 // NOT by the SAT backend, so SAT genuinely decides the pruner's residue.
 #pragma once
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "src/automata/uop_automaton.hpp"
 #include "src/solve/sat.hpp"
-#include "src/util/flow.hpp"
 
 namespace lcert::solve {
 
@@ -34,9 +32,9 @@ std::size_t FeasibilitySolver::decide_first(const BoxIndex& index) {
   if (index.size() == 0) return BoxIndex::npos;
   if (index.arity() != state_count_)
     throw std::invalid_argument("FeasibilitySolver::decide_first: wrong arity");
-  BoxIndex::Cursor cur = index.feasibility_candidates(supply_.data(), masks_.size());
-  for (std::size_t i = cur.next(); i != BoxIndex::npos; i = cur.next())
-    if (decide(index.box(i))) return i;
+  for (std::size_t i = 0; i < index.size(); ++i)
+    if (index.may_be_feasible(i, supply_.data(), masks_.size()) && decide(index.box(i)))
+      return i;
   return BoxIndex::npos;
 }
 
@@ -75,10 +73,10 @@ class ColdFlowBackend final : public FeasibilitySolver {
 };
 
 // ---------------------------------------------------------------------------
-// greedy: shared pruner + combinatorial stage; whatever stays inconclusive
-// falls back to a cold pristine build per query.
+// greedy (default): shared pruner + combinatorial stage; whatever stays
+// inconclusive falls back to a cold pristine build per query.
 // ---------------------------------------------------------------------------
-class GreedyBackend : public FeasibilitySolver {
+class GreedyBackend final : public FeasibilitySolver {
  public:
   Backend backend() const noexcept override { return Backend::kGreedy; }
 
@@ -93,111 +91,16 @@ class GreedyBackend : public FeasibilitySolver {
       case Verdict::kInfeasible: ++counts_.greedy; return false;
       case Verdict::kInconclusive: break;
     }
-    return residual_decide(box);
+    ++counts_.flow;
+    return uop_assign_children_masked(masks(), box, state_count(), assignment_);
   }
 
  protected:
   void on_begin() override { pruner_.begin(masks(), state_count(), supply()); }
 
-  /// Exact decision for the residue both stages left inconclusive.
-  virtual bool residual_decide(const IntervalBox& box) {
-    ++counts_.flow;
-    return uop_assign_children_masked(masks(), box, state_count(), assignment_);
-  }
-
+ private:
   BoxPruner pruner_;
-
- private:
   std::vector<std::size_t> assignment_;
-};
-
-// ---------------------------------------------------------------------------
-// warm-flow (default): greedy's stages, but the residue goes to a warm Dinic
-// circulation whose structure (child -> state edges) is built on the first
-// residual query of a vertex and re-bounded in place for every later one.
-// ---------------------------------------------------------------------------
-class WarmFlowBackend final : public GreedyBackend {
- public:
-  Backend backend() const noexcept override { return Backend::kWarmFlow; }
-
- protected:
-  void on_begin() override {
-    GreedyBackend::on_begin();
-    net_built_ = false;
-  }
-
-  bool residual_decide(const IntervalBox& box) override {
-    // Reached only when prune() was inconclusive, so the pristine pre-checks
-    // already passed: m > 0, lo <= hi, lo_sum <= m, cap >= lo.
-    const bool rebuilt = !net_built_;
-    if (!net_built_) build_structure();
-    const std::size_t m = masks().size();
-    const std::size_t k = state_count();
-    std::int64_t lo_sum = 0;
-    for (std::size_t q = 0; q < k; ++q) {
-      const auto lo = static_cast<std::int64_t>(box.lo[q]);
-      const std::int64_t cap =
-          box.hi[q] == IntervalBox::kUnbounded
-              ? static_cast<std::int64_t>(m)
-              : static_cast<std::int64_t>(std::min(box.hi[q], m));
-      net_.set_capacity(state_sink_edge_[q], cap - lo);
-      net_.set_capacity(state_super_edge_[q], lo);
-      lo_sum += lo;
-    }
-    net_.set_capacity(super_child_sink_edge_, lo_sum);
-    net_.reset_flows();
-    const std::int64_t achieved = net_.run(m + k + 2, m + k + 3);
-    if (rebuilt)
-      ++counts_.flow;
-    else
-      ++counts_.warm;
-    return achieved == static_cast<std::int64_t>(m) + lo_sum;
-  }
-
- private:
-  void build_structure() {
-    // Circulation-with-lower-bounds over the bipartite assignment network,
-    // pre-reduced so only capacities change between boxes. Original problem:
-    // S -> child [1,1], child -> state [0,1], state_q -> T [lo_q, cap_q], plus
-    // the T -> S return edge. The standard reduction moves every lower bound
-    // onto super-source/super-sink edges:
-    //   SS -> child (1)        from the child's saturated S -> child edge
-    //   S  -> TT (m)           the m units S owes its children
-    //   state_q -> T (cap-lo)  the residual choice above the lower bound
-    //   state_q -> TT (lo_q)   the lower bound itself
-    //   SS -> T (lo_sum)       T's matching surplus
-    // Feasible iff maxflow(SS, TT) == m + lo_sum. Only the three
-    // starred-by-box capacities move per query; adjacency is built once per
-    // vertex.
-    const std::size_t m = masks().size();
-    const std::size_t k = state_count();
-    const std::size_t s_node = m + k;
-    const std::size_t t_node = m + k + 1;
-    const std::size_t super_source = m + k + 2;
-    const std::size_t super_sink = m + k + 3;
-    net_.reset(m + k + 4);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::uint64_t rest = masks()[i]; rest != 0; rest &= rest - 1)
-        net_.add_edge(i, m + static_cast<std::size_t>(std::countr_zero(rest)), 1);
-      net_.add_edge(super_source, i, 1);
-    }
-    state_sink_edge_.assign(k, 0);
-    state_super_edge_.assign(k, 0);
-    for (std::size_t q = 0; q < k; ++q) {
-      state_sink_edge_[q] = net_.add_edge(m + q, t_node, 0);
-      state_super_edge_[q] = net_.add_edge(m + q, super_sink, 0);
-    }
-    net_.add_edge(t_node, s_node, std::numeric_limits<std::int64_t>::max() / 4);
-    net_.add_edge(s_node, super_sink, static_cast<std::int64_t>(m));
-    super_child_sink_edge_ = net_.add_edge(super_source, t_node, 0);
-    net_built_ = true;
-  }
-
-  DinicScratch net_;
-  bool net_built_ = false;
-  std::vector<std::size_t> state_sink_edge_;   ///< per state: state->sink slot
-  std::vector<std::size_t> state_super_edge_;  ///< per state: state->super-sink slot
-  std::size_t super_child_sink_edge_ = 0;      ///< super-source->sink slot
 };
 
 // ---------------------------------------------------------------------------
@@ -304,9 +207,7 @@ class SatBackend final : public FeasibilitySolver {
 
 constexpr SolverFactory::BackendInfo kRegistry[] = {
     {Backend::kGreedy, "greedy",
-     "shared pruner + combinatorial decisions, cold pristine-flow fallback"},
-    {Backend::kWarmFlow, "warm-flow",
-     "shared pruner + combinatorial decisions, warm Dinic circulation fallback (default)"},
+     "shared pruner + combinatorial decisions, cold pristine-flow fallback (default)"},
     {Backend::kColdFlow, "cold-flow",
      "pristine bounded-flow build per query (the differential reference)"},
     {Backend::kSat, "sat",
@@ -319,7 +220,6 @@ std::unique_ptr<FeasibilitySolver> SolverFactory::make(Backend backend) {
   switch (backend) {
     case Backend::kColdFlow: return std::make_unique<ColdFlowBackend>();
     case Backend::kGreedy: return std::make_unique<GreedyBackend>();
-    case Backend::kWarmFlow: return std::make_unique<WarmFlowBackend>();
     case Backend::kSat: return std::make_unique<SatBackend>();
   }
   throw std::invalid_argument("SolverFactory::make: unknown backend");

@@ -16,16 +16,15 @@
 // every trial.
 //
 // Backends (SolverFactory::make):
+//   greedy     shared pruner + combinatorial stage, cold-flow fallback for
+//              the inconclusive residue — the default;
 //   cold-flow  the pristine reference: one BoundedFlowProblem per query,
 //              no pruner — this IS the pre-seam path, kept as the
 //              differential baseline;
-//   greedy     shared pruner + combinatorial stage, cold-flow fallback for
-//              the inconclusive residue;
-//   warm-flow  shared pruner + combinatorial stage, warm Dinic circulation
-//              fallback (structure built once per vertex) — the default;
 //   sat        shared pruner + DPLL on the cardinality encoding (sat.hpp);
 //              the combinatorial stage is skipped on purpose so the SAT
-//              core, not the greedy heuristics, decides the residue.
+//              core, not the greedy heuristics, decides the residue. The
+//              sat-run audit strategy uses its models as forgery witnesses.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +41,11 @@ namespace lcert::solve {
 
 /// How the queries resolved, by deciding stage (not by backend): `pruned`
 /// counts the shared pruner's conclusive answers, `greedy` the combinatorial
-/// stage's, `warm`/`flow` the warm-vs-rebuilt Dinic split, `sat` the DPLL
-/// decisions. Classification depends only on the per-vertex query sequence,
-/// so totals are thread-count invariant when that sequence is.
+/// stage's, `flow` the pristine flow builds, `sat` the DPLL decisions.
+/// `warm` is always 0: it counted the warm Dinic tier, which no backend has
+/// any more, and stays so reports and bench records keep their field.
+/// Classification depends only on the per-vertex query sequence, so totals
+/// are thread-count invariant when that sequence is.
 struct DecisionCounts {
   std::uint64_t pruned = 0;
   std::uint64_t greedy = 0;
@@ -81,12 +82,11 @@ class FeasibilitySolver {
   /// boolean as uop_assign_children_masked(child_masks, box, ...).
   virtual bool decide(const IntervalBox& box) = 0;
 
-  /// First feasible box of an indexed DNF at the current vertex, or
-  /// BoxIndex::npos. Iterates the index's feasibility candidates (boxes the
-  /// necessary conditions lo[q] <= supply[q], sum(lo) <= child_count cannot
-  /// reject) in DNF order, so the answer equals a full decide() sweep —
-  /// skipped boxes are provably infeasible. Shared by every backend; this is
-  /// how all four iterate candidates instead of the full DNF.
+  /// First feasible box of a DNF at the current vertex, or BoxIndex::npos.
+  /// Sweeps the boxes in DNF order and skips, without a decide() call, every
+  /// box BoxIndex::may_be_feasible rules out (some lo[q] > supply[q], or
+  /// sum(lo) > child_count), so the answer equals a full decide() sweep —
+  /// skipped boxes are provably infeasible. Shared by every backend.
   std::size_t decide_first(const BoxIndex& index);
 
   /// decide() plus a witness (one valid state per child) when feasible. The
@@ -109,7 +109,8 @@ class FeasibilitySolver {
  public:
   /// Per-state raw supply for the current vertex: supply()[q] = number of
   /// children whose (truncated) mask allows state q. Computed once in
-  /// begin(); feeds decide_first and the pruner's raw-supply early reject.
+  /// begin(); feeds decide_first's skip and the pruner's raw-supply early
+  /// reject.
   std::span<const std::size_t> supply() const noexcept { return supply_; }
 
  protected:

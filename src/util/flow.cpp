@@ -72,95 +72,6 @@ std::int64_t MaxFlow::flow_on(std::size_t edge_index) const {
   return original_capacity_.at(edge_index) - graph_[node][offset].capacity;
 }
 
-void DinicScratch::reset(std::size_t node_count) {
-  slot_to_.clear();
-  slot_capacity_.clear();
-  slot_next_.clear();
-  base_capacity_.clear();
-  head_.assign(node_count, SIZE_MAX);
-}
-
-std::size_t DinicScratch::add_edge(std::size_t from, std::size_t to,
-                                   std::int64_t capacity) {
-  if (from >= head_.size() || to >= head_.size())
-    throw std::out_of_range("DinicScratch::add_edge: node out of range");
-  if (capacity < 0) throw std::invalid_argument("DinicScratch::add_edge: negative capacity");
-  const std::size_t fwd = slot_to_.size();
-  slot_to_.push_back(to);
-  slot_capacity_.push_back(capacity);
-  slot_next_.push_back(head_[from]);
-  head_[from] = fwd;
-  slot_to_.push_back(from);
-  slot_capacity_.push_back(0);
-  slot_next_.push_back(head_[to]);
-  head_[to] = fwd + 1;
-  base_capacity_.push_back(capacity);
-  return base_capacity_.size() - 1;
-}
-
-void DinicScratch::set_capacity(std::size_t edge, std::int64_t capacity) {
-  if (capacity < 0)
-    throw std::invalid_argument("DinicScratch::set_capacity: negative capacity");
-  base_capacity_.at(edge) = capacity;
-}
-
-void DinicScratch::reset_flows() {
-  for (std::size_t e = 0; e < base_capacity_.size(); ++e) {
-    slot_capacity_[2 * e] = base_capacity_[e];
-    slot_capacity_[2 * e + 1] = 0;
-  }
-}
-
-bool DinicScratch::bfs(std::size_t source, std::size_t sink) {
-  level_.assign(head_.size(), -1);
-  queue_.clear();
-  level_[source] = 0;
-  queue_.push_back(source);
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const std::size_t v = queue_[qi];
-    for (std::size_t s = head_[v]; s != SIZE_MAX; s = slot_next_[s]) {
-      if (slot_capacity_[s] > 0 && level_[slot_to_[s]] < 0) {
-        level_[slot_to_[s]] = level_[v] + 1;
-        queue_.push_back(slot_to_[s]);
-      }
-    }
-  }
-  return level_[sink] >= 0;
-}
-
-std::int64_t DinicScratch::dfs(std::size_t v, std::size_t sink, std::int64_t pushed) {
-  if (v == sink) return pushed;
-  for (std::size_t& s = iter_[v]; s != SIZE_MAX; s = slot_next_[s]) {
-    if (slot_capacity_[s] > 0 && level_[v] < level_[slot_to_[s]]) {
-      const std::int64_t d = dfs(slot_to_[s], sink, std::min(pushed, slot_capacity_[s]));
-      if (d > 0) {
-        slot_capacity_[s] -= d;
-        slot_capacity_[s ^ 1] += d;
-        return d;
-      }
-    }
-  }
-  return 0;
-}
-
-std::int64_t DinicScratch::run(std::size_t source, std::size_t sink) {
-  if (source == sink) return 0;
-  std::int64_t flow = 0;
-  while (bfs(source, sink)) {
-    iter_ = head_;
-    while (true) {
-      const std::int64_t pushed = dfs(source, sink, std::numeric_limits<std::int64_t>::max());
-      if (pushed == 0) break;
-      flow += pushed;
-    }
-  }
-  return flow;
-}
-
-std::int64_t DinicScratch::flow_on(std::size_t edge) const {
-  return base_capacity_.at(edge) - slot_capacity_[2 * edge];
-}
-
 bool BoundedFlowProblem::feasible(std::vector<std::int64_t>& flow_out) const {
   // Standard reduction: send each edge's lower bound unconditionally and route
   // the imbalance through a super source/sink; add an uncapacitated back edge

@@ -46,65 +46,6 @@ class MaxFlow {
   std::vector<std::size_t> iter_;
 };
 
-/// Reusable Dinic max-flow over a mutable-capacity edge structure.
-///
-/// MaxFlow above is build-once/run-once: every solve pays a fresh
-/// vector<vector<Edge>> graph plus BFS/DFS scratch allocations, which is the
-/// dominant cost when the flow itself is tiny (the UOP feasibility queries
-/// solve thousands of ~10-node problems per tree). DinicScratch keeps one set
-/// of flat arrays alive across solves:
-///
-///   - reset(n) clears the structure but retains every buffer's capacity;
-///   - add_edge builds the structure once per *shape* of problem;
-///   - set_capacity / reset_flows re-bound the same structure for the next
-///     query (capacities change, adjacency does not);
-///   - run() may be called after every reset_flows(), any number of times.
-///
-/// Edge slots are paired: directed edge e occupies slot 2e (forward) and
-/// 2e+1 (residual), so the reverse of slot s is s^1. Adjacency is an
-/// intrusive linked list (head_/next_) — insertion order is preserved
-/// LIFO per node, which is fine because callers only consume the max-flow
-/// *value* or per-edge flows, never traversal order.
-class DinicScratch {
- public:
-  /// Starts a new structure with `node_count` nodes; keeps allocations.
-  void reset(std::size_t node_count);
-
-  /// Adds a directed edge; returns its index for set_capacity/flow_on.
-  std::size_t add_edge(std::size_t from, std::size_t to, std::int64_t capacity);
-
-  /// Re-bounds an existing edge. Only meaningful before run() / after
-  /// reset_flows(); capacities of in-flight residuals are not adjusted.
-  void set_capacity(std::size_t edge, std::int64_t capacity);
-
-  /// Restores every edge to its last set capacity (zero flow everywhere).
-  void reset_flows();
-
-  std::int64_t run(std::size_t source, std::size_t sink);
-
-  /// Flow routed through `edge` by the last run().
-  std::int64_t flow_on(std::size_t edge) const;
-
-  std::size_t node_count() const noexcept { return head_.size(); }
-  std::size_t edge_count() const noexcept { return base_capacity_.size(); }
-
- private:
-  bool bfs(std::size_t source, std::size_t sink);
-  std::int64_t dfs(std::size_t v, std::size_t sink, std::int64_t pushed);
-
-  // Per-slot (2 slots per edge): target node, residual capacity, next slot in
-  // the source node's adjacency list (SIZE_MAX terminates).
-  std::vector<std::size_t> slot_to_;
-  std::vector<std::int64_t> slot_capacity_;
-  std::vector<std::size_t> slot_next_;
-  std::vector<std::int64_t> base_capacity_;  ///< per edge, for reset_flows
-  std::vector<std::size_t> head_;            ///< per node, first slot
-  // BFS/DFS scratch, sized to node_count.
-  std::vector<int> level_;
-  std::vector<std::size_t> iter_;
-  std::vector<std::size_t> queue_;
-};
-
 /// Feasibility of a flow where every edge carries between `lower` and `upper`
 /// units. Returns the per-edge flow if feasible, std::nullopt otherwise
 /// (reported via the bool in the pair to avoid an <optional> of vector copy).

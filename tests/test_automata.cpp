@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/automata/box_index.hpp"
 #include "src/automata/library.hpp"
 #include "src/automata/presburger.hpp"
 #include "src/automata/uop_automaton.hpp"
@@ -231,6 +232,40 @@ TEST(UopAutomaton, RunCheckerRejectsWrongRuns) {
   EXPECT_FALSE(is_accepting_run(a, star2, {leaf, leaf, leaf}));  // root not accepting
   EXPECT_FALSE(is_accepting_run(a, star2, {root, root, leaf}));  // bad transition
   EXPECT_TRUE(is_accepting_run(a, star2, {root, leaf, leaf}));
+}
+
+// Automata wider than 64 states take find_accepting_run's vector<bool> path
+// (the mask path needs one word per vertex). Padding a library automaton
+// with states whose transition is always false cannot change its language,
+// so the wide path must accept exactly where the mask path does, with runs
+// that never use a padding state. The precomputed-boxes overload must agree
+// with the one that builds the boxes itself.
+TEST(UopAutomaton, WideAutomatonMatchesTheMaskPath) {
+  constexpr std::size_t kWide = 70;
+  Rng rng(6464);
+  const auto lib = standard_tree_automata();
+  for (const std::size_t index : {std::size_t{2}, std::size_t{4}}) {  // caterpillar, pm
+    const UOPAutomaton& narrow = lib[index].automaton;
+    AutomatonBuilder b;
+    for (std::size_t q = 0; q < kWide; ++q)
+      b.add_state("q" + std::to_string(q), q < narrow.state_count && narrow.accepting[q]);
+    for (std::size_t q = 0; q < narrow.state_count; ++q)
+      b.set_transition(q, narrow.transition(q));
+    const UOPAutomaton wide = b.build();
+    std::vector<BoxIndex> boxes;
+    for (std::size_t q = 0; q < kWide; ++q) boxes.emplace_back(wide.transition(q).to_boxes(kWide));
+
+    for (int trial = 0; trial < 40; ++trial) {
+      const Graph tree = make_random_tree(1 + rng.index(9), rng);
+      const RootedTree t = RootedTree::from_graph(tree, rng.index(tree.vertex_count()));
+      const auto expected = find_accepting_run(narrow, t);
+      const auto run = find_accepting_run(wide, t);
+      ASSERT_EQ(run.has_value(), expected.has_value()) << "automaton " << index;
+      EXPECT_EQ(find_accepting_run(wide, t, boxes), run) << "automaton " << index;
+      if (!run.has_value()) continue;
+      for (const std::size_t state : *run) EXPECT_LT(state, narrow.state_count);
+    }
+  }
 }
 
 // Exhaustive cross-validation: every library automaton against its oracle on

@@ -37,7 +37,7 @@ class ProverPipelineSweep : public ::testing::TestWithParam<std::size_t> {};
 
 // The contract every prove_batch override signs: its output is exactly
 // assign()'s output, for every thread count, memo on or off, and under every
-// FeasibilitySolver backend (cold-flow reference, greedy, warm-flow, SAT).
+// FeasibilitySolver backend (cold-flow reference, greedy, SAT).
 TEST_P(ProverPipelineSweep, BatchMatchesAssignAcrossThreadsMemoAndSolvers) {
   const auto entry = scheme_registry().at(GetParam());
   const auto scheme = entry.make();

@@ -1,6 +1,6 @@
 // The solve/ layer above the per-box exactness tests (test_uop_feasibility):
 // the MiniCdcl core itself, the SAT backend's witness contract, the backend
-// name/alias mappings, the registry-wide bit-identity sweep (every scheme x
+// name mapping, the registry-wide bit-identity sweep (every scheme x
 // every backend x 1/4/8 threads reproduces assign() exactly), and the
 // AttackStrategy plan — in particular the sat-run forgery search, which must
 // find nothing on sound schemes and report *why* (every rooting exhausted).
@@ -95,7 +95,7 @@ TEST(MiniCdcl, DeterministicModel) {
   }
 }
 
-// --- backend names and the deprecated tier alias ----------------------------
+// --- backend names ----------------------------------------------------------
 
 TEST(SolverBackendNames, RoundTripAndListing) {
   for (const auto& info : solve::SolverFactory::registry()) {
@@ -107,18 +107,6 @@ TEST(SolverBackendNames, RoundTripAndListing) {
   }
   EXPECT_FALSE(solve::parse_backend("dinic").has_value());
   EXPECT_FALSE(solve::parse_backend("").has_value());
-}
-
-TEST(SolverBackendNames, TierAliasMatchesTheOldNumbering) {
-  // The numbering the deprecated --feas-tier-max flag promised: 0 was the
-  // flow-only reference, 1 greedy, 2 the warm default. Everything else used
-  // to be accepted silently — now it must be rejected (nullopt -> exit 2).
-  EXPECT_EQ(solve::backend_from_tier(0), solve::Backend::kColdFlow);
-  EXPECT_EQ(solve::backend_from_tier(1), solve::Backend::kGreedy);
-  EXPECT_EQ(solve::backend_from_tier(2), solve::Backend::kWarmFlow);
-  EXPECT_FALSE(solve::backend_from_tier(3).has_value());
-  EXPECT_FALSE(solve::backend_from_tier(7).has_value());
-  EXPECT_FALSE(solve::backend_from_tier(-1).has_value());
 }
 
 // --- witness contract -------------------------------------------------------

@@ -118,8 +118,8 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
     std::vector<std::uint64_t> masks(m);
     for (auto& mask : masks)
       mask = rng.uniform(0, (std::uint64_t{1} << k) - 1);  // empty masks included
-    // A batch of boxes against one begin(): exercises the warm-network reuse
-    // and the SAT backend's per-vertex variable layout.
+    // A batch of boxes against one begin(): exercises the pruner's per-vertex
+    // state and the SAT backend's per-vertex variable layout.
     std::vector<IntervalBox> boxes;
     const std::size_t box_count = rng.uniform(1, 4);
     for (std::size_t b = 0; b < box_count; ++b) {
@@ -155,8 +155,8 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
   }
   // Every query must have resolved in some stage, and each backend's counts
   // must respect its stage topology: cold-flow answers everything with cold
-  // flow builds; greedy never touches the warm network or the SAT core; sat
-  // never runs the combinatorial stage or any flow.
+  // flow builds; greedy never touches the SAT core; sat never runs the
+  // combinatorial stage or any flow; nothing counts as warm any more.
   for (const auto& feas : backends) {
     const solve::DecisionCounts& c = feas->counts();
     EXPECT_GT(c.total(), 0u) << solve::backend_name(feas->backend());
@@ -166,9 +166,6 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
         break;
       case solve::Backend::kGreedy:
         EXPECT_EQ(c.warm + c.sat, 0u);
-        break;
-      case solve::Backend::kWarmFlow:
-        EXPECT_EQ(c.sat, 0u);
         break;
       case solve::Backend::kSat:
         EXPECT_EQ(c.greedy + c.warm + c.flow, 0u);
