@@ -35,7 +35,8 @@
 //   --trials N        trial-count mode, deterministic across thread counts
 //   --time-budget S   wall-clock mode (seconds); overrides --trials
 //   --seed S          campaign seed (default 1)
-//   --threads T       worker threads (default auto)
+//   --threads T       worker threads (default auto; capped at the hardware
+//                     thread count)
 //   --base-n N        base instance size (default 12)
 //   --replay T        re-run exactly one trial index and report it
 //   --out DIR         write <scheme>-trial<T>.lcg + .repro.txt per finding
@@ -55,11 +56,13 @@
 // timeline (chrome://tracing / Perfetto). An unwritable artifact path is
 // rejected up front with exit code 2.
 // Edge-list format: see src/graph/io.hpp.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <thread>
 
 #include "src/cert/audit.hpp"
 #include "src/cert/engine.hpp"
@@ -97,6 +100,14 @@ const RegisteredScheme* lookup(const std::string& key) {
       std::fprintf(stderr, "  %s\n", e.key.c_str());
   }
   return entry;
+}
+
+/// A --threads value, capped at the machine's hardware threads (0 stays
+/// auto). The library honours an explicit count up to the item count, so an
+/// uncapped flag could start a thread per vertex.
+std::size_t parse_threads(const std::string& value) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::min<std::size_t>(std::stoul(value), std::max(1u, hw));
 }
 
 /// Non-throwing solver lookup, same contract as lookup() above: unknown names
@@ -261,7 +272,7 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
       ++i;  // consumed by obs::Report::from_cli
     } else if (flag == "--threads") {
       if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --threads");
-      options.num_threads = std::stoul(args[++i]);
+      options.num_threads = parse_threads(args[++i]);
     } else if (flag == "--no-memo") {
       options.memoize = false;
     } else if (flag == "--family") {
@@ -362,7 +373,7 @@ FuzzCliOptions parse_fuzz_flags(const std::vector<std::string>& args, std::size_
     if (flag == "--trials") out.campaign.trials = std::stoul(value());
     else if (flag == "--time-budget") out.campaign.time_budget_s = std::stod(value());
     else if (flag == "--seed") out.campaign.seed = std::stoull(value());
-    else if (flag == "--threads") out.campaign.num_threads = std::stoul(value());
+    else if (flag == "--threads") out.campaign.num_threads = parse_threads(value());
     else if (flag == "--base-n") out.campaign.base_n = std::stoul(value());
     else if (flag == "--replay") out.replay = std::stoul(value());
     else if (flag == "--out") out.out_dir = value();
@@ -568,7 +579,7 @@ int apply_edit_command(const std::vector<std::string>& args, obs::Report& report
       ++i;  // consumed by obs::Report::from_cli
     } else if (arg == "--threads") {
       if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --threads");
-      options.num_threads = std::stoul(args[++i]);
+      options.num_threads = parse_threads(args[++i]);
     } else if (arg == "--check") {
       check = true;
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
@@ -638,7 +649,7 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
       seed = std::stoull(args[++i]);
     } else if (flag == "--threads") {
       if (i + 1 >= args.size()) throw std::invalid_argument("missing value for --threads");
-      options.num_threads = std::stoul(args[++i]);
+      options.num_threads = parse_threads(args[++i]);
     } else if (flag == "--check") {
       check = true;
     } else if (!flag.empty() && flag[0] != '-') {

@@ -13,7 +13,7 @@
 #include "src/automata/uop_automaton.hpp"
 #include "src/graph/rooted_tree.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
+#include "src/obs/trace.hpp"
 #include "src/solve/solver.hpp"
 #include "src/util/parallel.hpp"
 
@@ -36,6 +36,9 @@ struct AuditMetrics {
   obs::Counter attacks = obs::registry().counter("audit/attacks");
   obs::Counter forgeries = obs::registry().counter("audit/forgeries");
   obs::Counter completeness_checks = obs::registry().counter("audit/completeness_checks");
+  std::uint32_t trace_attack = obs::trace_sink().name_id("audit/attack_soundness");
+  std::uint32_t trace_exhaustive = obs::trace_sink().name_id("audit/exhaustive_attack");
+  std::uint32_t trace_complete = obs::trace_sink().name_id("audit/require_complete");
 };
 
 const AuditMetrics& audit_metrics() {
@@ -329,8 +332,8 @@ SoundnessAuditReport run_soundness_audit(const Scheme& scheme, const Graph& no_i
                                          const std::vector<AttackStrategy>* plan) {
   if (scheme.holds(no_instance))
     throw std::invalid_argument("run_soundness_audit: instance satisfies the property");
-  LCERT_SPAN("audit/attack_soundness");
   const AuditMetrics& metrics = audit_metrics();
+  const obs::TraceSpan span(metrics.trace_attack);
   metrics.attacks.add();
   const ViewCache cache(no_instance);  // one topology walk for every strategy below
   const AttackContext ctx{scheme, no_instance, cache, yes_template, options};
@@ -402,8 +405,8 @@ std::optional<ForgedAssignment> exhaustive_soundness_attack(const Scheme& scheme
   // The odometer order is part of the contract (first accepting assignment in
   // canonical order); it stays serial, but every probe reuses the cache and
   // early-exits on the first rejecting vertex.
-  LCERT_SPAN("audit/exhaustive_attack");
   const AuditMetrics& metrics = audit_metrics();
+  const obs::TraceSpan span(metrics.trace_exhaustive);
   const ViewCache cache(no_instance);
   std::vector<std::size_t> pick(n, 0);
   std::vector<Certificate> certs(n, alphabet[0]);
@@ -432,8 +435,9 @@ std::optional<ForgedAssignment> exhaustive_soundness_attack(const Scheme& scheme
 void require_complete(const Scheme& scheme, const Graph& yes_instance) {
   if (!scheme.holds(yes_instance))
     throw std::invalid_argument("require_complete: instance does not satisfy the property");
-  LCERT_SPAN("audit/require_complete");
-  audit_metrics().completeness_checks.add();
+  const AuditMetrics& metrics = audit_metrics();
+  const obs::TraceSpan span(metrics.trace_complete);
+  metrics.completeness_checks.add();
   const auto outcome = run_scheme(scheme, yes_instance);
   if (!outcome.prover_succeeded)
     throw std::logic_error(scheme.name() + ": prover failed on yes-instance");

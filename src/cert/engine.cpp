@@ -9,7 +9,6 @@
 #include "src/cert/prove.hpp"
 #include "src/obs/instrumented_scheme.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 
@@ -35,6 +34,7 @@ struct EngineMetrics {
   obs::Quantile batch_ns = obs::registry().quantile("engine/verify_batch_ns");
   obs::Quantile vertex_ns = obs::registry().quantile("engine/verify_vertex_ns");
   std::uint32_t trace_batch = obs::trace_sink().name_id("engine/verify_batch");
+  std::uint32_t trace_verify = obs::trace_sink().name_id("engine/verify_assignment");
 };
 
 const EngineMetrics& engine_metrics() {
@@ -206,7 +206,7 @@ SchemeOutcome run_scheme(const Scheme& scheme, const Graph& g, const RunOptions&
   const auto certificates = prove_assignment(scheme, g, options).certificates;
   out.prover_succeeded = certificates.has_value();
   if (out.prover_succeeded) {
-    LCERT_SPAN("engine/verify_assignment");
+    const obs::TraceSpan span(engine_metrics().trace_verify);
     out.verification = verify_assignment(scheme, g, *certificates, options);
 #ifndef NDEBUG
     const obs::HistogramSnapshot after = obs::registry().histogram_snapshot(hist_name);

@@ -19,9 +19,10 @@
 namespace lcert {
 
 struct RunOptions {
-  // --- worker pool (engine: per-vertex fan-out; audit/fuzz: per-trial) ---
+  // --- worker pool (engine and prover encoders: per-vertex fan-out;
+  // audit/fuzz: per-trial; the MSO prover's solve passes stay serial) ---
   /// 0 = auto (serial below kParallelAutoCutoff items, hardware concurrency
-  /// above).
+  /// above). An explicit count is honoured up to the item count.
   std::size_t num_threads = 0;
 
   // --- verification ---

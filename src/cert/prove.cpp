@@ -1,7 +1,6 @@
 #include "src/cert/prove.hpp"
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 
 namespace lcert {
@@ -20,6 +19,7 @@ struct ProverMetrics {
   obs::Quantile prove_ns = obs::registry().quantile("prover/prove_ns");
   std::uint32_t trace_memo_hits = obs::trace_sink().name_id("prover/memo_hits");
   std::uint32_t trace_memo_misses = obs::trace_sink().name_id("prover/memo_misses");
+  std::uint32_t trace_prove = obs::trace_sink().name_id("prover/prove_assignment");
 };
 
 const ProverMetrics& prover_metrics() {
@@ -30,27 +30,14 @@ const ProverMetrics& prover_metrics() {
 }  // namespace
 
 ProverContext::ProverContext(std::size_t universe, const RunOptions& options)
-    : options_(options) {
+    : options_(options), feasibility_(solve::SolverFactory::make(options.solver)) {
   // resolve_thread_count is monotone in the item count, so sizing for the
-  // whole universe covers every per-level fan-out the run can make.
+  // whole universe covers every flat fan-out the run can make.
   const std::size_t workers =
       resolve_thread_count(options.num_threads, universe == 0 ? 1 : universe);
   scratch_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
-    scratch_.push_back(std::make_unique<WorkerScratch>(options.solver));
-}
-
-void ProverContext::ensure_universe(std::size_t universe) {
-  const std::size_t workers =
-      resolve_thread_count(options_.num_threads, universe == 0 ? 1 : universe);
-  while (scratch_.size() < workers)
-    scratch_.push_back(std::make_unique<WorkerScratch>(options_.solver));
-}
-
-solve::DecisionCounts ProverContext::feas_counts() const {
-  solve::DecisionCounts total;
-  for (const auto& s : scratch_) total += s->feasibility->counts();
-  return total;
+    scratch_.push_back(std::make_unique<WorkerScratch>());
 }
 
 void ProverContext::count_memo_hits(std::size_t k) {
@@ -67,8 +54,8 @@ void ProverContext::count_memo_misses(std::size_t k) {
 
 ProveResult prove_assignment(const Scheme& scheme, const Graph& g,
                              const RunOptions& options) {
-  LCERT_SPAN("prover/prove_assignment");
   const ProverMetrics& metrics = prover_metrics();
+  const obs::TraceSpan span(metrics.trace_prove);
   metrics.prove_calls.add();
   const bool tracing = obs::trace_enabled();
   const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
@@ -86,8 +73,9 @@ ProveResult prove_assignment(const Scheme& scheme, const Graph& g,
   if (tracing) {
     const std::uint64_t ns = obs::trace_now_ns() - t0;
     metrics.prove_ns.record(ns);
-    // Counter samples: memo traffic is thread-count-invariant (collected
-    // serially), so these land identically in every logical stream.
+    // Counter samples: memo traffic is thread-count-invariant (the solve
+    // passes run serially), so these land identically in every logical
+    // stream.
     obs::trace_sink().emit(metrics.trace_memo_hits, obs::TraceEventKind::kCounter, 0,
                            static_cast<std::int64_t>(out.memo_hits));
     obs::trace_sink().emit(metrics.trace_memo_misses, obs::TraceEventKind::kCounter, 0,

@@ -4,11 +4,11 @@
 // tree: the MSO schemes run a tree automaton, the treedepth and kernelization
 // schemes walk elimination trees. prove_assignment is the one entry point —
 // it hands the scheme a ProverContext carrying the run options, per-worker
-// arena/writer scratch, and the memo counters, and calls Scheme::prove_batch
-// (default: plain assign()). Batch provers process RootedTree::levels()
-// deepest-first, fanning each level across the worker pool; the level
-// boundary is the synchronization barrier, so every child is finished before
-// its parent starts.
+// arena/writer scratch, one feasibility solver and the memo counters, and
+// calls Scheme::prove_batch (default: plain assign()). The MSO automaton
+// passes run serially (their memo leaves a few distinct computations per
+// tree level); the flat per-vertex loops — certificate encoding and copying,
+// the treedepth core build — fan out through for_each_index.
 //
 // Determinism contract (pinned by tests/test_prover_pipeline.cpp): for a
 // fixed graph, prove_assignment returns bit-identical certificates for every
@@ -34,30 +34,20 @@ namespace lcert {
 /// Per-run state handed to Scheme::prove_batch. Owns one arena-backed
 /// BitWriter per worker (worker 0 is the calling thread), so a batch prover
 /// encodes certificates with zero steady-state allocations; arenas persist
-/// across levels within the run and are reset between vertices only via
+/// across the run and are reset between vertices only via
 /// BitWriter::clear(), which retains the buffer.
 class ProverContext {
  public:
   /// `universe` bounds the parallel fan-out (vertex count of the graph being
-  /// proven); the worker scratch is sized for the largest fan-out any level
-  /// can need under `options.num_threads`.
+  /// proven); the worker scratch is sized for the largest fan-out a flat
+  /// per-vertex loop can need under `options.num_threads`.
   ProverContext(std::size_t universe, const RunOptions& options);
-
-  /// Grows the worker scratch to cover fan-outs up to `universe` items. A
-  /// context held across streaming edits (the incremental prover keeps one
-  /// alive so arenas and feasibility scratch stay warm) must call this after
-  /// any edit that grows the instance, or for_each_index could hand out
-  /// worker ids beyond the scratch sized at construction. No-op when already
-  /// large enough; never shrinks (arenas stay warm).
-  void ensure_universe(std::size_t universe);
 
   const RunOptions& options() const noexcept { return options_; }
   bool memoize() const noexcept { return options_.memoize; }
 
   /// Upper bound on worker ids ever passed to scratch accessors.
   std::size_t worker_count() const noexcept { return scratch_.size(); }
-
-  Arena& arena(std::size_t worker) { return scratch_[worker]->arena; }
 
   /// The worker's arena-backed writer, cleared and ready for one certificate.
   BitWriter& writer(std::size_t worker) {
@@ -66,9 +56,10 @@ class ProverContext {
     return w;
   }
 
-  /// Fans fn(worker, i) for i in [0, count) over the run's worker pool.
-  /// Batch provers call this once per tree level (bottom-up); fn must write
-  /// only slots owned by index i so the result is thread-count independent.
+  /// Fans fn(worker, i) for i in [0, count) over the run's worker pool, for
+  /// flat per-vertex loops over at most the context's universe; fn must
+  /// write only slots owned by index i so the result is thread-count
+  /// independent.
   template <typename Fn>
   void for_each_index(std::size_t count, Fn&& fn) {
     parallel_for_workers(count, options_.num_threads, std::forward<Fn>(fn));
@@ -81,29 +72,26 @@ class ProverContext {
   std::size_t memo_hits() const noexcept { return memo_hits_; }
   std::size_t memo_misses() const noexcept { return memo_misses_; }
 
-  /// The worker's feasibility solver backend (DESIGN.md §15), built by
-  /// SolverFactory from options().solver. Persistent per-worker scratch: warm
+  /// The run's feasibility solver backend (DESIGN.md §15), built by
+  /// SolverFactory from options().solver. Calling-thread scratch: warm
   /// across vertices within the run, zero steady-state allocations.
-  solve::FeasibilitySolver& feasibility(std::size_t worker) {
-    return *scratch_[worker]->feasibility;
-  }
+  solve::FeasibilitySolver& feasibility() { return *feasibility_; }
 
-  /// Sum of every worker's per-stage decision counts. Call after the last
-  /// fan-out (prove_assignment does, to fill ProveResult and the obs
-  /// counters prover/feas_pruned|greedy|warm|flow|sat).
-  solve::DecisionCounts feas_counts() const;
+  /// The solver's per-stage decision counts (prove_assignment reads them
+  /// after the run to fill ProveResult and the obs counters
+  /// prover/feas_pruned|greedy|warm|flow|sat).
+  solve::DecisionCounts feas_counts() const { return feasibility_->counts(); }
 
  private:
   struct WorkerScratch {
     Arena arena;
     BitWriter writer;
-    std::unique_ptr<solve::FeasibilitySolver> feasibility;
-    explicit WorkerScratch(solve::Backend backend)
-        : writer(arena), feasibility(solve::SolverFactory::make(backend)) {}
+    WorkerScratch() : writer(arena) {}
   };
 
   RunOptions options_;
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
+  std::unique_ptr<solve::FeasibilitySolver> feasibility_;
   std::size_t memo_hits_ = 0;
   std::size_t memo_misses_ = 0;
 };
@@ -113,7 +101,7 @@ struct ProveResult {
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   /// Per-stage decision counts of the feasibility solver (zero for schemes
-  /// that never query it). Totals are thread-count invariant.
+  /// that never query it). Thread-count invariant: the solver runs serially.
   solve::DecisionCounts feas;
 };
 

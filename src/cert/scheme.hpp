@@ -238,8 +238,9 @@ class Scheme {
   virtual std::optional<std::vector<Certificate>> assign(const Graph& g) const = 0;
 
   /// Batched prover used by prove_assignment (src/cert/prove.hpp). The
-  /// context carries the run options plus per-worker arenas/writers and the
-  /// memo counters; the default ignores it and delegates to assign(). An
+  /// context carries the run options, per-worker arenas/writers for flat
+  /// per-vertex loops, one feasibility solver and the memo counters; the
+  /// default ignores it and delegates to assign(). An
   /// override must return exactly the certificates assign(g) would — for
   /// every thread count and with memoization on or off — so the batch path
   /// is a pure speedup, never a semantic fork (pinned by the round-trip

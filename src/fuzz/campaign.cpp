@@ -11,7 +11,6 @@
 #include "src/fuzz/shrink.hpp"
 #include "src/graph/io.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 
@@ -27,6 +26,7 @@ struct FuzzMetrics {
   obs::Counter findings = obs::registry().counter("fuzz/findings");
   obs::Counter shrink_steps = obs::registry().counter("fuzz/shrink_steps");
   obs::Histogram instance_n = obs::registry().histogram("fuzz/instance_n");
+  std::uint32_t trace_campaign = obs::trace_sink().name_id("fuzz/campaign");
 };
 
 const FuzzMetrics& fuzz_metrics() {
@@ -129,7 +129,7 @@ std::uint64_t trial_seed(std::uint64_t campaign_seed, std::uint64_t index) {
 
 CampaignResult run_campaign(const Scheme& scheme, const InstanceFamily& family,
                             const CampaignOptions& options) {
-  LCERT_SPAN("fuzz/campaign");
+  const obs::TraceSpan span(fuzz_metrics().trace_campaign);
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
   const std::size_t max_findings = std::max<std::size_t>(options.max_findings, 1);

@@ -33,7 +33,7 @@ std::optional<GraphEdit> draw_edge_add(const Graph& g, Rng& rng) {
       if (!g.has_edge(u, v)) non_edges.emplace_back(u, v);
   if (non_edges.empty()) return std::nullopt;
   const auto [u, v] = non_edges[rng.index(non_edges.size())];
-  return GraphEdit{EditKind::kEdgeAdd, u, v};
+  return GraphEdit{.kind = EditKind::kEdgeAdd, .a = u, .b = v};
 }
 
 std::optional<GraphEdit> draw_edge_delete(const Graph& g, Rng& rng) {
@@ -49,14 +49,14 @@ std::optional<GraphEdit> draw_edge_delete(const Graph& g, Rng& rng) {
   }
   if (deletable.empty()) return std::nullopt;
   const auto [u, v] = edges[deletable[rng.index(deletable.size())]];
-  return GraphEdit{EditKind::kEdgeDelete, u, v};
+  return GraphEdit{.kind = EditKind::kEdgeDelete, .a = u, .b = v};
 }
 
 std::optional<GraphEdit> draw_leaf_graft(const Graph& g, Rng& rng) {
   const std::size_t n = g.vertex_count();
   if (n == 0) return std::nullopt;
   const Vertex anchor = static_cast<Vertex>(rng.index(n));
-  GraphEdit edit{EditKind::kLeafGraft, anchor};
+  GraphEdit edit{.kind = EditKind::kLeafGraft, .a = anchor};
   edit.fresh_id = fresh_id(ids_of(g), n + 1, rng);
   return edit;
 }
@@ -68,7 +68,7 @@ std::optional<GraphEdit> draw_leaf_prune(const Graph& g, Rng& rng) {
   for (Vertex v = 0; v < n; ++v)
     if (g.degree(v) == 1) leaves.push_back(v);
   if (leaves.empty()) return std::nullopt;
-  return GraphEdit{EditKind::kLeafPrune, leaves[rng.index(leaves.size())]};
+  return GraphEdit{.kind = EditKind::kLeafPrune, .a = leaves[rng.index(leaves.size())]};
 }
 
 std::optional<GraphEdit> draw_subtree_swap(const Graph& g, Rng& rng) {
@@ -100,13 +100,14 @@ std::optional<GraphEdit> draw_subtree_swap(const Graph& g, Rng& rng) {
     if (!in_subtree[v] && v != parent[moved]) candidates.push_back(v);
   if (candidates.empty()) return std::nullopt;
   const Vertex new_parent = candidates[rng.index(candidates.size())];
-  return GraphEdit{EditKind::kSubtreeSwap, moved, new_parent, parent[moved]};
+  return GraphEdit{
+      .kind = EditKind::kSubtreeSwap, .a = moved, .b = new_parent, .c = parent[moved]};
 }
 
 std::optional<GraphEdit> draw_id_permute(const Graph& g, Rng& rng) {
   const std::size_t n = g.vertex_count();
   if (n < 2) return std::nullopt;
-  GraphEdit edit{EditKind::kIdPermute};
+  GraphEdit edit{.kind = EditKind::kIdPermute};
   edit.ids = ids_of(g);
   rng.shuffle(edit.ids);
   return edit;

@@ -57,7 +57,7 @@ struct GraphEdit {
   Vertex b = 0;
   Vertex c = 0;
   VertexId fresh_id = 0;
-  std::vector<VertexId> ids;
+  std::vector<VertexId> ids = {};
 };
 
 /// Human-readable one-liner ("leaf-graft anchor=3 id=17"), for stats lines

@@ -50,10 +50,9 @@ class RootedTree {
   std::vector<std::size_t> preorder() const { return subtree(root_); }
 
   /// Vertices grouped by depth: levels()[d] holds every vertex at depth d, in
-  /// ascending vertex order. The batch prover sweeps these deepest-first
-  /// (children are complete before their parent is touched) and fans each
-  /// level out across workers — the level boundary is the synchronization
-  /// barrier.
+  /// ascending vertex order. The MSO batch prover sweeps these deepest-first
+  /// (children are complete before their parent is touched), then
+  /// root-first for run extraction.
   std::vector<std::vector<std::size_t>> levels() const;
 
   /// The underlying undirected tree as a Graph (IDs default 1..n).

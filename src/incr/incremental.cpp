@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/cert/engine.hpp"
 #include "src/cert/prove.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -53,6 +54,38 @@ void record(const IncrementalStats& st, const Scheme& scheme, std::uint64_t edit
                    " reproved=" + std::to_string(st.reproved_vertices);
       obs::outliers().record(std::move(rec));
     }
+  }
+}
+
+// Radius-1 re-verification of the certificates a cold re-prove changed:
+// every changed vertex and its neighbours, or every vertex when all changed.
+// Fills reverified_vertices and reverify_clean; a truncated certificate
+// rejects, as it does in the engine.
+void reverify(const Scheme& scheme, const Graph& g, const std::vector<Certificate>& certs,
+              const std::vector<std::size_t>& changed, bool changed_all,
+              IncrementalStats& st) {
+  const ViewCache cache(g);
+  const ViewCache::Binding binding = cache.bind(certs);
+  std::vector<char> seen(g.vertex_count(), 0);
+  const auto check = [&](Vertex v) {
+    if (seen[v]) return;
+    seen[v] = 1;
+    ++st.reverified_vertices;
+    bool ok = false;
+    try {
+      ok = scheme.verify(binding.view(v));
+    } catch (const CertificateTruncated&) {
+      // ok stays false
+    }
+    st.reverify_clean = st.reverify_clean && ok;
+  };
+  if (changed_all) {
+    for (Vertex v = 0; v < g.vertex_count(); ++v) check(v);
+    return;
+  }
+  for (Vertex v : changed) {
+    check(v);
+    for (Vertex w : g.neighbors(v)) check(w);
   }
 }
 
@@ -110,6 +143,8 @@ IncrementalStats CertifiedInstance::apply(const GraphEdit& edit) {
     if (n > 0)
       st.reuse_ratio =
           1.0 - static_cast<double>(st.changed_certificates) / static_cast<double>(n);
+    if (changed_all_ || !changed_.empty())
+      reverify(scheme_, next, *res.certificates, changed_, changed_all_, st);
   }
   certs_ = std::move(res.certificates);
   graph_ = std::move(next);

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "src/obs/span.hpp"
+#include "src/obs/trace.hpp"
 
 namespace lcert::obs {
 
@@ -14,10 +14,12 @@ InstrumentedScheme::InstrumentedScheme(std::unique_ptr<Scheme> inner)
     : inner_(std::move(inner)),
       cert_bits_(registry().histogram(size_histogram_name(*inner_))),
       assign_calls_(registry().counter("prover/assign_calls")),
-      assign_refusals_(registry().counter("prover/assign_refusals")) {}
+      assign_refusals_(registry().counter("prover/assign_refusals")),
+      trace_assign_(trace_sink().name_id("prover/assign")),
+      trace_prove_batch_(trace_sink().name_id("prover/prove_batch")) {}
 
 std::optional<std::vector<Certificate>> InstrumentedScheme::assign(const Graph& g) const {
-  LCERT_SPAN("prover/assign");
+  const TraceSpan span(trace_assign_);
   assign_calls_.add();
   auto certificates = inner_->assign(g);
   if (!certificates.has_value()) {
@@ -35,7 +37,7 @@ std::optional<std::vector<Certificate>> InstrumentedScheme::assign(const Graph& 
 
 std::optional<std::vector<Certificate>> InstrumentedScheme::prove_batch(
     const Graph& g, ProverContext& ctx) const {
-  LCERT_SPAN("prover/prove_batch");
+  const TraceSpan span(trace_prove_batch_);
   assign_calls_.add();
   auto certificates = inner_->prove_batch(g, ctx);
   if (!certificates.has_value()) {

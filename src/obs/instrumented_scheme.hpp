@@ -3,8 +3,8 @@
 // Wrapping a Scheme records every certificate the prover emits into the
 // per-scheme histogram `prover/<scheme-name>/cert_bits` (the paper's
 // performance measure, so max/mean certificate size per scheme falls out of
-// the metrics snapshot), plus assignment counters and a "prover/assign"
-// span. The scheme registry wraps every entry it hands out, so the CLI,
+// the metrics snapshot), plus assignment counters and "prover/assign" /
+// "prover/prove_batch" trace spans. The scheme registry wraps every entry it hands out, so the CLI,
 // the benches and the audit sweep all get prover accounting for free;
 // verification forwards straight to the inner scheme — verify_batch keeps
 // its hot-path override.
@@ -58,6 +58,8 @@ class InstrumentedScheme final : public Scheme {
   Histogram cert_bits_;
   Counter assign_calls_;
   Counter assign_refusals_;
+  std::uint32_t trace_assign_;
+  std::uint32_t trace_prove_batch_;
 };
 
 }  // namespace lcert::obs

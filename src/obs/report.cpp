@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 
 namespace lcert::obs {
@@ -81,22 +80,6 @@ void append_histogram_json(std::ostringstream& os, const HistogramSnapshot& h) {
     const std::uint64_t lo = b == 0 ? 0 : (std::uint64_t{1} << (b - 1));
     const std::uint64_t hi = b == 0 ? 0 : (std::uint64_t{1} << b) - 1;
     os << "{\"lo\":" << lo << ",\"hi\":" << hi << ",\"count\":" << h.buckets[b] << '}';
-  }
-  os << "]}";
-}
-
-void append_span_json(std::ostringstream& os, const SpanNode& node) {
-  os << "{\"name\":\"" << json_escape(node.name) << "\",\"wall_ms\":"
-     << json_value(Value(node.wall_ms)) << ",\"counters\":{";
-  for (std::size_t i = 0; i < node.counter_deltas.size(); ++i) {
-    if (i) os << ',';
-    os << '"' << json_escape(node.counter_deltas[i].first)
-       << "\":" << node.counter_deltas[i].second;
-  }
-  os << "},\"children\":[";
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    if (i) os << ',';
-    append_span_json(os, node.children[i]);
   }
   os << "]}";
 }
@@ -315,14 +298,6 @@ std::string Report::json() const {
     os << "{\"ns\":" << rec.ns << ",\"site\":\"" << json_escape(rec.site)
        << "\",\"scheme\":\"" << json_escape(rec.scheme) << "\",\"unit\":" << rec.unit
        << ",\"detail\":\"" << json_escape(rec.detail) << "\"}";
-  }
-  os << ']';
-
-  os << ",\"trace_dropped\":" << trace_dropped() << ",\"trace\":[";
-  const std::vector<SpanNode> trace = take_trace();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (i) os << ',';
-    append_span_json(os, trace[i]);
   }
   os << "]}";
   return os.str();

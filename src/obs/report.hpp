@@ -5,12 +5,16 @@
 // table (replacing the per-bench printf tables) and, when an output path was
 // given — `--metrics-out <file>` on the command line or the LCERT_METRICS
 // environment variable — writes a machine-readable artifact that also embeds
-// the full metrics snapshot and the span trace. `.csv` paths get the records
-// as CSV; everything else gets the JSON document:
+// the full metrics snapshot. `.csv` paths get the records as CSV; everything
+// else gets the JSON document:
 //
-//   { "experiment": ..., "meta": {...}, "records": [...],
-//     "metrics": {"counters": ..., "gauges": ..., "histograms": ...},
-//     "trace": [...] }
+//   { "experiment": ..., "meta": {...}, "records": [...], "notes": [...],
+//     "metrics": {"counters": ..., "gauges": ..., "histograms": ...,
+//                 "quantiles": ...},
+//     "outliers": [...] }
+//
+// Phase spans (obs::TraceSpan) go to the trace sink and from there to the
+// Chrome trace written by --trace-out, not into this document.
 //
 // EXPERIMENTS.md tables are regenerated from these artifacts, so record keys
 // are a stable schema: renaming one is a breaking change to the bench
@@ -87,8 +91,8 @@ class Report {
   /// Human summary of the current metrics snapshot (counters + histograms).
   void print_metrics(std::FILE* out = stdout) const;
 
-  /// Serializers. json() embeds a fresh metrics snapshot and drains the
-  /// span trace; csv() is records-only.
+  /// Serializers. json() embeds a fresh metrics snapshot and the outlier
+  /// sample; csv() is records-only.
   std::string json() const;
   std::string csv() const;
 

@@ -110,34 +110,22 @@ std::optional<std::vector<Certificate>> MsoTreeScheme::prove_batch(
   // plus the parent state (the flow's choice follows edge insertion order).
   // Distinct subtree shapes with the same child-mask profile share one entry
   // — on irregular trees this is the difference between a memo that
-  // collapses and one that converges to O(distinct profiles). The passes
-  // themselves live in mso_detail::SolveCore, shared verbatim with the
+  // collapses and one that converges to O(distinct profiles). The root loop
+  // and both passes live in mso_detail::SolveCore, shared verbatim with the
   // incremental recertification prover (DESIGN.md §13).
   mso_detail::MsoMemo memo_store;
   mso_detail::MsoMemo* memo = ctx.memoize() ? &memo_store : nullptr;
 
-  for (Vertex root : automaton_.good_roots(g)) {
-    const RootedTree t = RootedTree::from_graph(g, root);
-    const auto levels = t.levels();
+  const mso_detail::RootSolve s =
+      core.solve(g, automaton_.good_roots(g), ctx, memo);
+  if (s.run.empty()) return std::nullopt;
 
-    std::vector<std::uint64_t> mask(t.size(), 0);
-    core.bottom_up(t, levels, ctx, memo, mask);
-
-    const std::size_t root_state = core.accepting_state(mask[t.root()]);
-    if (root_state == SIZE_MAX) continue;
-
-    std::vector<std::size_t> run(t.size(), SIZE_MAX);
-    run[t.root()] = root_state;
-    core.top_down(t, levels, ctx, memo, mask, run);
-
-    const std::vector<Certificate> table = core.payload_table(ctx);
-    std::vector<Certificate> certs(g.vertex_count());
-    ctx.for_each_index(g.vertex_count(), [&](std::size_t, std::size_t v) {
-      certs[v] = table[(t.depth(v) % 3) * k + run[v]];
-    });
-    return certs;
-  }
-  return std::nullopt;
+  const std::vector<Certificate> table = core.payload_table(ctx);
+  std::vector<Certificate> certs(g.vertex_count());
+  ctx.for_each_index(g.vertex_count(), [&](std::size_t, std::size_t v) {
+    certs[v] = table[(s.tree.depth(v) % 3) * k + s.run[v]];
+  });
+  return certs;
 }
 
 namespace {

@@ -40,14 +40,16 @@ class MsoTreeScheme final : public Scheme {
   std::string name() const override { return "mso-tree[" + automaton_.name + "]"; }
   bool holds(const Graph& g) const override;
   std::optional<std::vector<Certificate>> assign(const Graph& g) const override;
-  /// Level-synchronized memoized batch prover. Bit-identical to assign() for
+  /// Memoized batch prover: serial bottom-up masks and top-down run
+  /// extraction by tree level (mso_detail::SolveCore::solve), then a
+  /// parallel per-vertex certificate copy. Bit-identical to assign() for
   /// every thread count and with memoization on or off: the feasibility
   /// masks it computes equal find_accepting_run's per-vertex boolean rows,
   /// and the extraction solver is the same flow construction in the same
-  /// edge order. Memo keys: canonical subtree code for feasibility (order-
-  /// invariant), (ordered child-code tuple, parent state) for extraction
-  /// (the flow's choice depends on child order). Falls back to assign() when
-  /// state_count > 64 (masks are single words).
+  /// edge order. Memo keys: sorted child-mask multiset for feasibility
+  /// (order-invariant), (ordered child-mask tuple, parent state) for
+  /// extraction (the flow's choice depends on child order). Falls back to
+  /// assign() when state_count > 64 (masks are single words).
   std::optional<std::vector<Certificate>> prove_batch(const Graph& g,
                                                       ProverContext& ctx) const override;
   bool verify(const ViewRef& view) const override;

@@ -6,9 +6,8 @@
 namespace lcert::mso_detail {
 
 std::uint64_t SolveCore::mask_from_children(
-    const std::vector<std::uint64_t>& child_masks, ProverContext& ctx,
-    std::size_t worker) const {
-  solve::FeasibilitySolver& feas = ctx.feasibility(worker);
+    const std::vector<std::uint64_t>& child_masks, ProverContext& ctx) const {
+  solve::FeasibilitySolver& feas = ctx.feasibility();
   feas.begin(child_masks, k);
   std::uint64_t m = 0;
   for (std::size_t q = 0; q < k; ++q)
@@ -18,8 +17,8 @@ std::uint64_t SolveCore::mask_from_children(
 
 std::vector<std::size_t> SolveCore::extract_from_children(
     const std::vector<std::uint64_t>& child_masks, std::size_t q,
-    ProverContext& ctx, std::size_t worker) const {
-  solve::FeasibilitySolver& feas = ctx.feasibility(worker);
+    ProverContext& ctx) const {
+  solve::FeasibilitySolver& feas = ctx.feasibility();
   feas.begin(child_masks, k);
   std::vector<std::size_t> assignment;
   // The solver backend only pre-filters boxes (exact, so decide_first lands
@@ -47,52 +46,26 @@ std::vector<std::uint64_t> child_masks_of(const RootedTree& t,
 
 }  // namespace
 
-void SolveCore::bottom_up(const RootedTree& t,
-                          const std::vector<std::vector<std::size_t>>& levels,
-                          ProverContext& ctx, MsoMemo* memo,
-                          std::vector<std::uint64_t>& mask) const {
-  // Deepest level first: every child's mask is final before its parent's
-  // level starts. Memo key: the vertex's sorted child-mask multiset, interned
-  // once the children's masks are final — serial intern pass (the interner
-  // may rehash), parallel fill of the fresh entries, serial apply.
-  std::vector<std::size_t> vertex_code;
-  std::vector<std::size_t> key_scratch;
-  for (auto lev = levels.rbegin(); lev != levels.rend(); ++lev) {
-    const std::vector<std::size_t>& level = *lev;
-    if (memo == nullptr) {
-      ctx.for_each_index(level.size(), [&](std::size_t w, std::size_t i) {
-        mask[level[i]] = mask_from_children(child_masks_of(t, mask, level[i]), ctx, w);
-      });
-      continue;
+RootSolve SolveCore::solve(const Graph& g, const std::vector<Vertex>& roots,
+                           ProverContext& ctx, MsoMemo* memo) const {
+  RootSolve first;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    RootSolve s{RootedTree::from_graph(g, roots[i]), {}, {}};
+    const auto levels = s.tree.levels();
+    // Deepest level first: every child's mask is final before its parent's.
+    s.mask.assign(s.tree.size(), 0);
+    for (auto lev = levels.rbegin(); lev != levels.rend(); ++lev)
+      for (std::size_t v : *lev) s.mask[v] = memo_mask(s.tree, s.mask, v, ctx, memo);
+    const std::size_t root_state = accepting_state(s.mask[s.tree.root()]);
+    if (root_state != SIZE_MAX) {
+      s.run.assign(s.tree.size(), SIZE_MAX);
+      s.run[s.tree.root()] = root_state;
+      top_down(s.tree, levels, ctx, memo, s.mask, s.run);
+      return s;
     }
-    vertex_code.resize(level.size());
-    std::vector<std::size_t> reps;  // first vertex per not-yet-cached code
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      const std::size_t v = level[i];
-      key_scratch.clear();
-      for (std::size_t c : t.children(v))
-        key_scratch.push_back(static_cast<std::size_t>(mask[c]));
-      std::sort(key_scratch.begin(), key_scratch.end());
-      const std::size_t code = memo->mask_multisets.intern(key_scratch);
-      vertex_code[i] = code;
-      if (code < memo->feas_known.size() && memo->feas_known[code]) continue;
-      memo->feas_known.resize(memo->mask_multisets.size(), 0);
-      memo->feas_memo.resize(memo->mask_multisets.size(), 0);
-      memo->feas_known[code] = 1;
-      reps.push_back(v);
-    }
-    ctx.count_memo_misses(reps.size());
-    ctx.count_memo_hits(level.size() - reps.size());
-    std::vector<std::uint64_t> rep_mask(reps.size());
-    ctx.for_each_index(reps.size(), [&](std::size_t w, std::size_t i) {
-      rep_mask[i] = mask_from_children(child_masks_of(t, mask, reps[i]), ctx, w);
-    });
-    for (std::size_t i = 0, r = 0; i < level.size(); ++i) {
-      if (r < reps.size() && level[i] == reps[r])
-        memo->feas_memo[vertex_code[i]] = rep_mask[r++];
-      mask[level[i]] = memo->feas_memo[vertex_code[i]];
-    }
+    if (i == 0) first = std::move(s);
   }
+  return first;
 }
 
 std::size_t SolveCore::accepting_state(std::uint64_t root_mask) const {
@@ -106,65 +79,17 @@ void SolveCore::top_down(const RootedTree& t,
                          ProverContext& ctx, MsoMemo* memo,
                          const std::vector<std::uint64_t>& mask,
                          std::vector<std::size_t>& run) const {
-  std::vector<std::size_t> tuple_id;
-  if (memo != nullptr) {
-    tuple_id.assign(t.size(), SIZE_MAX);
-    std::vector<std::size_t> scratch;
-    for (std::size_t v = 0; v < t.size(); ++v) {
-      const auto kids = t.children(v);
-      if (kids.empty()) continue;
-      scratch.clear();
-      for (std::size_t c : kids) scratch.push_back(static_cast<std::size_t>(mask[c]));
-      tuple_id[v] = memo->mask_tuples.intern(scratch);
-    }
-  }
-
   // Root level first: run[v] is final before v's level chooses its
   // children's states.
-  for (const std::vector<std::size_t>& level : levels) {
-    if (memo == nullptr) {
-      ctx.for_each_index(level.size(), [&](std::size_t w, std::size_t i) {
-        const std::size_t v = level[i];
-        const auto kids = t.children(v);
-        if (kids.empty()) return;
-        const auto chosen =
-            extract_from_children(child_masks_of(t, mask, v), run[v], ctx, w);
-        for (std::size_t j = 0; j < kids.size(); ++j) run[kids[j]] = chosen[j];
-      });
-      continue;
-    }
-    // Serial insert pass (the map may rehash), parallel fill of the fresh
-    // slots, then the apply pass reads a stable map.
-    std::vector<std::size_t> reps;
-    std::vector<std::vector<std::size_t>*> slots;
-    std::size_t hits = 0;
-    for (std::size_t v : level) {
-      if (t.children(v).empty()) continue;
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(tuple_id[v]) * 64 + run[v];
-      const auto [it, inserted] = memo->extract_memo.try_emplace(key);
-      if (!inserted) {
-        ++hits;
-        continue;
-      }
-      reps.push_back(v);
-      slots.push_back(&it->second);
-    }
-    ctx.count_memo_misses(reps.size());
-    ctx.count_memo_hits(hits);
-    ctx.for_each_index(reps.size(), [&](std::size_t w, std::size_t i) {
-      *slots[i] = extract_from_children(child_masks_of(t, mask, reps[i]),
-                                        run[reps[i]], ctx, w);
-    });
+  std::vector<std::size_t> scratch;
+  for (const std::vector<std::size_t>& level : levels)
     for (std::size_t v : level) {
       const auto kids = t.children(v);
       if (kids.empty()) continue;
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(tuple_id[v]) * 64 + run[v];
-      const std::vector<std::size_t>& chosen = memo->extract_memo[key];
+      const std::vector<std::size_t>& chosen =
+          memo_extract(t, mask, v, run[v], ctx, memo, scratch);
       for (std::size_t j = 0; j < kids.size(); ++j) run[kids[j]] = chosen[j];
     }
-  }
 }
 
 std::vector<Certificate> SolveCore::payload_table(ProverContext& ctx) const {
@@ -183,9 +108,9 @@ std::uint64_t SolveCore::memo_mask(const RootedTree& t,
                                    const std::vector<std::uint64_t>& mask,
                                    std::size_t v, ProverContext& ctx,
                                    MsoMemo* memo) const {
-  if (memo == nullptr) return mask_from_children(child_masks_of(t, mask, v), ctx, 0);
-  std::vector<std::size_t> key;
-  key.reserve(t.children(v).size());
+  if (memo == nullptr) return mask_from_children(child_masks_of(t, mask, v), ctx);
+  std::vector<std::size_t>& key = memo->key;
+  key.clear();
   for (std::size_t c : t.children(v))
     key.push_back(static_cast<std::size_t>(mask[c]));
   std::sort(key.begin(), key.end());
@@ -197,7 +122,7 @@ std::uint64_t SolveCore::memo_mask(const RootedTree& t,
   memo->feas_known.resize(memo->mask_multisets.size(), 0);
   memo->feas_memo.resize(memo->mask_multisets.size(), 0);
   ctx.count_memo_misses(1);
-  const std::uint64_t m = mask_from_children(child_masks_of(t, mask, v), ctx, 0);
+  const std::uint64_t m = mask_from_children(child_masks_of(t, mask, v), ctx);
   memo->feas_known[code] = 1;
   memo->feas_memo[code] = m;
   return m;
@@ -208,11 +133,11 @@ const std::vector<std::size_t>& SolveCore::memo_extract(
     std::size_t q, ProverContext& ctx, MsoMemo* memo,
     std::vector<std::size_t>& scratch) const {
   if (memo == nullptr) {
-    scratch = extract_from_children(child_masks_of(t, mask, v), q, ctx, 0);
+    scratch = extract_from_children(child_masks_of(t, mask, v), q, ctx);
     return scratch;
   }
-  std::vector<std::size_t> key;
-  key.reserve(t.children(v).size());
+  std::vector<std::size_t>& key = memo->key;
+  key.clear();
   for (std::size_t c : t.children(v))
     key.push_back(static_cast<std::size_t>(mask[c]));
   const std::uint64_t mkey =
@@ -223,7 +148,7 @@ const std::vector<std::size_t>& SolveCore::memo_extract(
     return it->second;
   }
   ctx.count_memo_misses(1);
-  it->second = extract_from_children(child_masks_of(t, mask, v), q, ctx, 0);
+  it->second = extract_from_children(child_masks_of(t, mask, v), q, ctx);
   return it->second;
 }
 

@@ -5,8 +5,10 @@
 // bottom-up feasibility-mask pass and a top-down run extraction over a
 // RootedTree, memoized on child-mask profiles — differing only in *which
 // vertices* they touch. This header factors that computation out of
-// MsoTreeScheme so both paths call literally the same code: bit-identity
-// between them is then a statement about vertex selection, not about two
+// MsoTreeScheme so both paths call literally the same code: the cold root
+// loop is one function (SolveCore::solve), and both passes are per-vertex
+// memo lookups the incremental repair calls one vertex at a time. Bit-identity
+// between the paths is then a statement about vertex selection, not about two
 // implementations staying in sync.
 //
 // MsoMemo is the memo store. It used to be function-local in prove_batch;
@@ -40,6 +42,7 @@ struct MsoMemo {
   std::vector<std::uint64_t> feas_memo;   ///< multiset id -> mask
   std::vector<std::uint8_t> feas_known;   ///< multiset id -> filled?
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> extract_memo;
+  std::vector<std::size_t> key;  ///< lookup scratch, reused across vertices
 
   void clear() {
     mask_multisets = SubtreeCodeInterner();
@@ -64,8 +67,17 @@ struct MsoMemo {
   }
 };
 
+/// One rooting of a tree instance as the cold prover solves it.
+struct RootSolve {
+  RootedTree tree;
+  std::vector<std::uint64_t> mask;  ///< per-vertex feasibility masks
+  std::vector<std::size_t> run;     ///< accepting run; empty when rejected
+};
+
 /// The solver: automaton parameters hoisted once, methods for each pass.
 /// Pointers borrow from the owning MsoTreeScheme and must outlive the core.
+/// Every pass runs serially on the calling thread: the memo collapses each
+/// tree level to a handful of distinct computations (DESIGN.md §11).
 struct SolveCore {
   const UOPAutomaton* automaton = nullptr;
   const BoxIndex* boxes = nullptr;  ///< per-state canonical DNF, indexed
@@ -75,23 +87,23 @@ struct SolveCore {
 
   /// Feasibility mask of a vertex from its children's masks: bit q set iff
   /// some box of delta(q) admits a child assignment — exactly the predicate
-  /// find_accepting_run evaluates, resolved through the worker's tiered
-  /// engine (exact booleans, no assignment materialized).
+  /// find_accepting_run evaluates, resolved through the context's solver
+  /// backend (exact booleans, no assignment materialized).
   std::uint64_t mask_from_children(const std::vector<std::uint64_t>& child_masks,
-                                   ProverContext& ctx, std::size_t worker) const;
+                                   ProverContext& ctx) const;
 
   /// States for a vertex's children given run state q: first feasible box
   /// wins, same box order and same flow construction as find_accepting_run.
   std::vector<std::size_t> extract_from_children(
       const std::vector<std::uint64_t>& child_masks, std::size_t q,
-      ProverContext& ctx, std::size_t worker) const;
+      ProverContext& ctx) const;
 
-  /// Bottom-up feasibility over every vertex, deepest level first; fills
-  /// `mask` (must be sized t.size()). `memo` may be null (memoization off).
-  void bottom_up(const RootedTree& t,
-                 const std::vector<std::vector<std::size_t>>& levels,
-                 ProverContext& ctx, MsoMemo* memo,
-                 std::vector<std::uint64_t>& mask) const;
+  /// The cold prover's root loop: for each of `roots` in order, bottom-up
+  /// masks, and at the first root whose mask accepts (find_accepting_run's
+  /// choice) the top-down run. When no root accepts, returns the first
+  /// root's masks with an empty run. `memo` may be null (memoization off).
+  RootSolve solve(const Graph& g, const std::vector<Vertex>& roots,
+                  ProverContext& ctx, MsoMemo* memo) const;
 
   /// Smallest accepting state set in `root_mask` — find_accepting_run's
   /// choice; SIZE_MAX when none.
@@ -110,7 +122,7 @@ struct SolveCore {
   /// a certificate is selecting one of three precomputed variants per state.
   std::vector<Certificate> payload_table(ProverContext& ctx) const;
 
-  // --- Single-vertex memoized accessors (incremental repair path) ---------
+  // --- Single-vertex memoized accessors (both passes, incremental repair) --
 
   /// mask_from_children for one vertex through the memo (counts one hit or
   /// miss in ctx); straight computation when memo is null.

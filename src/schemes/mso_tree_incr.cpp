@@ -146,51 +146,35 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
     return 0;
   }
 
-  /// Cold (but memo- and context-warm) full re-certification; mirrors
-  /// prove_batch's root loop exactly, additionally retaining the tree, mask
-  /// and run state of the successful root for later incremental repair.
+  /// Cold (but memo- and context-warm) full re-certification through the
+  /// cold prover's own root loop, retaining the tree, mask and run state of
+  /// the chosen root for later incremental repair.
   void rebuild_from(const Graph& g) {
     const std::size_t n = g.vertex_count();
-    ctx_.ensure_universe(n);
     ids_.resize(n);
     for (Vertex v = 0; v < n; ++v) ids_[v] = g.id(v);
     graph_cache_.reset();
-    mso_detail::MsoMemo* memo = memo_ptr();
     const bool yes = scheme_.holds(g);  // throws off the tree promise
-    const auto roots = scheme_.automaton_.good_roots(g);
-    if (yes) {
-      for (Vertex root : roots) {
-        RootedTree t = RootedTree::from_graph(g, root);
-        const auto levels = t.levels();
-        std::vector<std::uint64_t> mask(n, 0);
-        core_.bottom_up(t, levels, ctx_, memo, mask);
-        const std::size_t root_state = core_.accepting_state(mask[t.root()]);
-        if (root_state == SIZE_MAX) continue;
-        std::vector<std::size_t> run(n, SIZE_MAX);
-        run[t.root()] = root_state;
-        core_.top_down(t, levels, ctx_, memo, mask, run);
-        std::vector<Certificate> certs(n);
-        for (std::size_t v = 0; v < n; ++v)
-          certs[v] = table_[(t.depth(v) % 3) * core_.k + run[v]];
-        tree_ = std::move(t);
-        mask_ = std::move(mask);
-        run_ = std::move(run);
-        certs_ = std::move(certs);
-        return;
-      }
+    std::vector<Vertex> roots = scheme_.automaton_.good_roots(g);
+    const bool certify = yes && !roots.empty();
+    // Uncertified: solve only the first good root (vertex 0 if none), to
+    // keep its masks warm so a later edit can revalidate incrementally.
+    if (!certify) roots.resize(1);
+    mso_detail::RootSolve s = core_.solve(g, roots, ctx_, memo_ptr());
+    tree_ = std::move(s.tree);
+    mask_ = std::move(s.mask);
+    // A yes-instance no good root accepted is, defensively, uncertified too:
+    // cold answers nullopt there as well.
+    if (!certify || s.run.empty()) {
+      run_.assign(n, SIZE_MAX);
+      certs_.reset();
+      return;
     }
-    // Uncertified (or, defensively, a yes-instance no good root accepted,
-    // which cold also answers with nullopt): keep the first good root's
-    // masks warm so a later edit can revalidate incrementally.
-    const Vertex root = roots.empty() ? 0 : roots[0];
-    RootedTree t = RootedTree::from_graph(g, root);
-    const auto levels = t.levels();
-    std::vector<std::uint64_t> mask(n, 0);
-    core_.bottom_up(t, levels, ctx_, memo, mask);
-    tree_ = std::move(t);
-    mask_ = std::move(mask);
-    run_.assign(n, SIZE_MAX);
-    certs_.reset();
+    run_ = std::move(s.run);
+    std::vector<Certificate> certs(n);
+    for (std::size_t v = 0; v < n; ++v)
+      certs[v] = table_[(tree_.depth(v) % 3) * core_.k + run_[v]];
+    certs_ = std::move(certs);
   }
 
   void full_rebuild(const Graph& g, IncrementalStats& st) {
@@ -222,7 +206,6 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
         run_.push_back(SIZE_MAX);
         if (certs_.has_value()) certs_->emplace_back();
         graph_cache_.reset();
-        ctx_.ensure_universe(tree_.size());
         mask_[leaf] = core_.memo_mask(tree_, mask_, leaf, ctx_, memo_ptr());
         ++st.reproved_vertices;
         finish_structural({edit.a}, {}, {leaf}, st);
@@ -295,7 +278,6 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
                          std::vector<std::size_t> mod3_changed,
                          std::vector<std::size_t> fresh, IncrementalStats& st) {
     const std::size_t n = tree_.size();
-    ctx_.ensure_universe(n);
 
     std::size_t max_depth = 0;
     for (std::size_t s : seeds) max_depth = std::max(max_depth, tree_.depth(s));
@@ -489,7 +471,7 @@ class MsoTreeIncrementalProver final : public IncrementalProver {
 
   MsoTreeScheme scheme_;  ///< own copy: the prover is self-contained
   RunOptions options_;
-  ProverContext ctx_;  ///< persistent: arenas + feasibility scratch stay warm
+  ProverContext ctx_;  ///< persistent: the feasibility solver stays warm
   mso_detail::SolveCore core_;
   mso_detail::MsoMemo memo_;  ///< persists across edits (pure values)
   std::vector<Certificate> table_;  ///< 3*k payloads, built once

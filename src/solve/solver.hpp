@@ -65,8 +65,9 @@ struct DecisionCounts {
   }
 };
 
-/// One instance is per-worker scratch: warm across vertices within a run,
-/// zero steady-state allocations once warm, not thread-safe.
+/// One instance is single-thread scratch (a prover run owns one): warm
+/// across vertices within a run, zero steady-state allocations once warm,
+/// not thread-safe.
 class FeasibilitySolver {
  public:
   virtual ~FeasibilitySolver() = default;

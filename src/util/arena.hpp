@@ -1,13 +1,14 @@
 // Bump allocator backing the prover's per-worker encoding scratch.
 //
-// The batch prover encodes one certificate per vertex; with a heap-backed
-// BitWriter every vertex pays at least one allocation for the byte buffer
-// (plus growth reallocations), and under the worker pool those allocations
-// contend on the global allocator. An Arena hands out memory by bumping a
-// pointer inside pre-allocated chunks: the first few vertices grow the arena
-// to the high-water mark, after which encoding runs with zero steady-state
-// allocations (chunks_allocated() stops moving — the property the tests pin
-// down). reset() rewinds every chunk without releasing memory.
+// The batch provers encode one certificate per vertex in flat loops fanned
+// out over the worker pool (ProverContext::for_each_index); with a
+// heap-backed BitWriter every vertex pays at least one allocation for the
+// byte buffer (plus growth reallocations), and under the worker pool those
+// allocations contend on the global allocator. An Arena hands out memory by
+// bumping a pointer inside pre-allocated chunks: the first few vertices grow
+// the arena to the high-water mark, after which encoding runs with zero
+// steady-state allocations (chunks_allocated() stops moving — the property
+// the tests pin down). reset() rewinds every chunk without releasing memory.
 //
 // Arenas are single-owner scratch: one arena per worker thread, never shared
 // (ProverContext enforces this by construction). Nothing is destructed —

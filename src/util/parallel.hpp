@@ -1,8 +1,12 @@
-// Minimal worker pool for the verification engine and the soundness auditor.
+// Minimal worker pool for the verification engine, the soundness auditor,
+// the fuzz campaign and the provers' flat per-vertex loops.
 //
 // The paper's model makes per-vertex verification depend only on the degree
 // and the certificate size, so running the verifier at every vertex (and
-// running independent audit trials) is embarrassingly parallel.
+// running independent audit trials, or encoding one certificate per vertex)
+// is embarrassingly parallel. Tree-level sweeps are not: the MSO prover's
+// memoized passes leave a few distinct computations per level and run
+// serially.
 // parallel_for_workers hands out contiguous index chunks through a single
 // atomic counter — no external dependencies, no persistent threads, no
 // shared mutable state beyond what the caller's callback touches;
@@ -11,7 +15,7 @@
 // Determinism contract: parallel_for only decides *who* runs each index, not
 // what the index means. Callers that want bit-identical results across thread
 // counts must make fn(i) depend on i alone (per-index RNG seeds, disjoint
-// output slots) — the engine and auditor both follow this rule.
+// output slots) — every caller follows this rule.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +36,8 @@ inline constexpr std::size_t kParallelAutoCutoff = 512;
 /// Number of worker threads to use for `count` items. `requested == 0` means
 /// auto: hardware concurrency, but serial under the cutoff. An explicit
 /// request is honored (clamped to count) so tests can force real parallelism
-/// on small inputs.
+/// on small inputs; the CLI caps its --threads flag at hardware concurrency
+/// before it gets here.
 inline std::size_t resolve_thread_count(std::size_t requested, std::size_t count) {
   if (count <= 1) return 1;
   if (requested == 0) {

@@ -118,9 +118,11 @@ TEST(BoxIndex, MayBeFeasibleNeverSkipsAFeasibleBox) {
 
     const auto feas = solve::SolverFactory::make(solve::Backend::kColdFlow);
     feas->begin(masks, k);
-    for (std::size_t i = 0; i < idx.size(); ++i)
-      if (!idx.may_be_feasible(i, feas->supply().data(), m))
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      if (!idx.may_be_feasible(i, feas->supply().data(), m)) {
         EXPECT_FALSE(feas->decide(idx.box(i))) << "feasible box " << i << " skipped";
+      }
+    }
   }
 }
 

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/cert/prove.hpp"
@@ -200,7 +202,57 @@ TEST(IncrementalCertify, FallbackSchemeReprovesColdEveryEdit) {
   const IncrementalStats st2 = live.apply(graft2);
   cur = apply_edit(cur, graft2);
   EXPECT_TRUE(st2.certified);
+  // Every certificate is new after the certified flip: all are re-verified.
+  EXPECT_EQ(st2.reverified_vertices, cur.vertex_count());
+  EXPECT_TRUE(st2.reverify_clean);
   ASSERT_NO_FATAL_FAILURE(expect_matches_cold(*scheme, live, cur, options, "even |V|"));
+}
+
+/// A scheme whose prover plants one bad certificate: vertex 0's is emptied
+/// once the graph has more than `honest_n` vertices, so the inner verifier
+/// there reads past its end.
+class PlantedBadCertificate final : public Scheme {
+ public:
+  PlantedBadCertificate(std::unique_ptr<Scheme> inner, std::size_t honest_n)
+      : inner_(std::move(inner)), honest_n_(honest_n) {}
+  std::string name() const override { return inner_->name() + "+planted"; }
+  bool holds(const Graph& g) const override { return inner_->holds(g); }
+  std::optional<std::vector<Certificate>> assign(const Graph& g) const override {
+    auto certs = inner_->assign(g);
+    if (certs.has_value() && g.vertex_count() > honest_n_) (*certs)[0] = Certificate{};
+    return certs;
+  }
+  bool verify(const ViewRef& view) const override { return inner_->verify(view); }
+
+ private:
+  std::unique_ptr<Scheme> inner_;
+  std::size_t honest_n_;
+};
+
+TEST(IncrementalCertify, FallbackReverifyCatchesAPlantedBadCertificate) {
+  // The cold re-prove fallback must re-verify what it changed, not report a
+  // clean re-verification it never ran.
+  const RegisteredScheme& entry = find_scheme("vertex-parity");
+  Rng rng(7);
+  const Graph g = entry.family.yes_instance(8, rng);
+  const PlantedBadCertificate scheme(entry.make(), g.vertex_count());
+  RunOptions options;
+  options.num_threads = 1;
+  incr::CertifiedInstance live(scheme, options);
+  ASSERT_FALSE(live.incremental());
+  ASSERT_TRUE(live.init(g).has_value());
+
+  VertexId max_id = 0;
+  for (Vertex v = 0; v < g.vertex_count(); ++v) max_id = std::max(max_id, g.id(v));
+  GraphEdit graft = make_edit(EditKind::kLeafGraft, 0);
+  graft.fresh_id = max_id + 1;
+  EXPECT_FALSE(live.apply(graft).certified);  // odd |V|
+  GraphEdit graft2 = make_edit(EditKind::kLeafGraft, 1);
+  graft2.fresh_id = max_id + 2;
+  const IncrementalStats st = live.apply(graft2);
+  EXPECT_TRUE(st.certified);
+  EXPECT_EQ(st.reverified_vertices, g.vertex_count() + 2);
+  EXPECT_FALSE(st.reverify_clean);
 }
 
 TEST(IncrementalCertify, RawEdgeEditsThrowAndLeaveInstanceUntouched) {

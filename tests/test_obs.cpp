@@ -21,7 +21,6 @@
 #include "src/obs/instrumented_scheme.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
-#include "src/obs/span.hpp"
 #include "src/obs/trace.hpp"
 #include "src/schemes/mso_tree.hpp"
 #include "src/schemes/registry.hpp"
@@ -34,18 +33,16 @@ namespace {
 using obs::registry;
 
 /// Enables the process registry for the test body and leaves it disabled and
-/// zeroed (trace drained) for whoever runs next in this binary.
+/// zeroed for whoever runs next in this binary.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry().reset();
-    obs::take_trace();
     registry().set_enabled(true);
   }
   void TearDown() override {
     registry().set_enabled(false);
     registry().reset();
-    obs::take_trace();
   }
 };
 
@@ -185,44 +182,6 @@ TEST_F(ObsTest, RejectionsAndTruncationsAreCounted) {
   EXPECT_EQ(registry().counter_value("engine/rejections"), 32u);
 }
 
-TEST_F(ObsTest, SpansNestAndCaptureCounterDeltas) {
-  const obs::Counter c = registry().counter("test/span_counter");
-  {
-    LCERT_SPAN("outer");
-    c.add(5);
-    {
-      LCERT_SPAN("inner");
-      c.add(2);
-    }
-  }
-  const auto trace = obs::take_trace();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].name, "outer");
-  ASSERT_EQ(trace[0].children.size(), 1u);
-  EXPECT_EQ(trace[0].children[0].name, "inner");
-  EXPECT_TRUE(trace[0].children[0].children.empty());
-  EXPECT_GE(trace[0].wall_ms, trace[0].children[0].wall_ms);
-
-  const auto find_delta = [](const obs::SpanNode& node, const char* name) -> std::uint64_t {
-    for (const auto& [key, delta] : node.counter_deltas)
-      if (key == name) return delta;
-    return 0;
-  };
-  EXPECT_EQ(find_delta(trace[0], "test/span_counter"), 7u);  // outer sees both adds
-  EXPECT_EQ(find_delta(trace[0].children[0], "test/span_counter"), 2u);
-
-  EXPECT_TRUE(obs::take_trace().empty());  // drained
-}
-
-TEST_F(ObsTest, DisabledSpansRecordNothing) {
-  registry().set_enabled(false);
-  {
-    LCERT_SPAN("invisible");
-  }
-  registry().set_enabled(true);
-  EXPECT_TRUE(obs::take_trace().empty());
-}
-
 // --- minimal JSON validity checker (objects/arrays/strings/numbers/
 // true/false/null), enough to prove the exporter emits well-formed JSON ----
 
@@ -312,9 +271,6 @@ TEST_F(ObsTest, JsonValidatorSelfTest) {
 TEST_F(ObsTest, ReportJsonRoundTrip) {
   registry().counter("test/json_counter").add(3);
   registry().histogram("test/json_hist").record(9);
-  {
-    LCERT_SPAN("test/json_span");
-  }
   obs::Report report("unit-test");
   report.meta("seed", 1);
   report.add().set("scheme", "s\"1").set("n", 16).set("max_bits", 3).set("wall_ms", 0.5);
@@ -328,11 +284,6 @@ TEST_F(ObsTest, ReportJsonRoundTrip) {
   EXPECT_NE(json.find("\"max_bits\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test/json_counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test/json_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"test/json_span\""), std::string::npos);
-  // json() drains the trace: a second export is still valid, now trace-free.
-  const std::string second = report.json();
-  ASSERT_TRUE(is_valid_json(second));
-  EXPECT_EQ(second.find("\"test/json_span\""), std::string::npos);
 }
 
 TEST_F(ObsTest, ReportCsvHasUnionHeaderAndEscaping) {
@@ -389,7 +340,6 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry().reset();
-    obs::take_trace();
     obs::trace_sink().reset();
     obs::outliers().reset();
     registry().set_enabled(true);
@@ -403,7 +353,6 @@ class TraceTest : public ::testing::Test {
     obs::outliers().reset();
     registry().set_enabled(false);
     registry().reset();
-    obs::take_trace();
   }
 };
 

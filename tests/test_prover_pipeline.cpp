@@ -67,8 +67,8 @@ TEST_P(ProverPipelineSweep, BatchMatchesAssignAcrossThreadsMemoAndSolvers) {
   }
 }
 
-// Solver decision totals, like memo totals, are collected per worker and
-// summed serially — the same at every thread count.
+// Solver decision totals, like memo totals, come from the serial solve
+// passes — the same at every thread count.
 TEST(ProverPipeline, SolverDecisionCountersAreThreadCountInvariant) {
   const MsoTreeScheme scheme(standard_tree_automata()[7]);  // leaves>=4
   Rng rng(91);
@@ -154,8 +154,8 @@ TEST(ProverPipeline, MemoCountersFireOnCompleteBinaryTrees) {
   expect_bit_identical(*with_memo.certificates, *without.certificates, "memo on/off");
 }
 
-// Memo-hit totals are part of the determinism contract: collected in the
-// serial rep-collection pass, so the same at every thread count.
+// Memo-hit totals are part of the determinism contract: counted by the
+// serial solve passes, so the same at every thread count.
 TEST(ProverPipeline, MemoCountersAreThreadCountInvariant) {
   const MsoTreeScheme scheme(standard_tree_automata()[3]);  // max-degree<=3
   const Graph g = make_complete_binary_tree(7);

@@ -145,8 +145,9 @@ TEST(SolverWitness, EveryBackendProducesValidWitnesses) {
       }
       for (std::size_t q = 0; q < k; ++q) {
         EXPECT_GE(counts[q], box.lo[q]) << info.name << " trial " << trial;
-        if (box.hi[q] != IntervalBox::kUnbounded)
+        if (box.hi[q] != IntervalBox::kUnbounded) {
           EXPECT_LE(counts[q], box.hi[q]) << info.name << " trial " << trial;
+        }
       }
     }
   }
@@ -196,8 +197,11 @@ TEST(AttackPlan, StandardPlanDeclaresBudgetsFromOptions) {
   EXPECT_EQ(names.front(), "random");
   EXPECT_EQ(names.back(), "sat-run");  // draws no rng, must run last
   EXPECT_EQ(plan.front().budget, 17u);
-  for (const auto& s : plan)
-    if (s.name == "bit-flip") EXPECT_EQ(s.budget, 5u);
+  for (const auto& s : plan) {
+    if (s.name == "bit-flip") {
+      EXPECT_EQ(s.budget, 5u);
+    }
+  }
 }
 
 // Every scheme in the registry must survive the full plan on its own

@@ -148,7 +148,9 @@ TEST(FeasibilitySolverBackends, RandomizedCrossCheckAgainstBruteForce) {
         }
         for (std::size_t q = 0; q < k; ++q) {
           EXPECT_GE(counts[q], box.lo[q]);
-          if (box.hi[q] != IntervalBox::kUnbounded) EXPECT_LE(counts[q], box.hi[q]);
+          if (box.hi[q] != IntervalBox::kUnbounded) {
+            EXPECT_LE(counts[q], box.hi[q]);
+          }
         }
       }
     }
