@@ -9,7 +9,9 @@
 //                                           # guided run search)
 //   lcert_cli prove <scheme> [n] [--threads T] [--no-memo]
 //                   [--family F] [--solver S]
-//                                           # batch prover: timing + memo and
+//                                           # batch prover: wall time split
+//                                           # into generate+ids / prove /
+//                                           # verify / total, memo and
 //                                           # solver decision stats. --family
 //                                           # swaps the instance shape (path,
 //                                           # caterpillar, complete-binary,
@@ -75,6 +77,7 @@
 #include "src/incr/incremental.hpp"
 #include "src/logic/eval.hpp"
 #include "src/obs/report.hpp"
+#include "src/obs/trace.hpp"
 #include "src/schemes/registry.hpp"
 #include "src/solve/backend.hpp"
 #include "src/util/rng.hpp"
@@ -258,8 +261,8 @@ const ShapeFamily* lookup_shape(const std::string& name) {
 }
 
 // Run the batch prover on a generated yes-instance, verify the output, and
-// report wall time plus the memo and solver decision counters — the CLI face
-// of prove_assignment.
+// report wall time (instance generation with IDs, prove, verify, total) plus
+// the memo and solver decision counters — the CLI face of prove_assignment.
 int prove_command(const std::vector<std::string>& args, obs::Report& report) {
   const RegisteredScheme* entry = lookup(args[1]);
   if (entry == nullptr) return 2;
@@ -291,28 +294,46 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
     }
   }
 
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  };
+  static const std::uint32_t trace_generate = obs::trace_sink().name_id("graph/generate");
+  static const std::uint32_t trace_verify =
+      obs::trace_sink().name_id("engine/verify_assignment");
   const auto scheme = entry->make();
+  const auto run_start = Clock::now();
   Rng rng(42);
-  Graph g = shape == nullptr ? entry->family.yes_instance(n, rng) : shape->make(n, rng);
-  if (shape != nullptr) assign_random_ids(g, rng);
+  Graph g;
+  {
+    const obs::TraceSpan span(trace_generate);
+    g = shape == nullptr ? entry->family.yes_instance(n, rng) : shape->make(n, rng);
+    if (shape != nullptr) assign_random_ids(g, rng);
+  }
+  const double generate_ms = ms_since(run_start);
   std::printf("scheme:   %s (%s)\n", entry->key.c_str(), entry->description.c_str());
   std::printf("instance: %s n=%zu m=%zu, threads=%zu, memo=%s, solver=%s\n",
               shape == nullptr ? "yes-instance" : shape->name, g.vertex_count(),
               g.edge_count(), options.num_threads, options.memoize ? "on" : "off",
               solve::backend_name(options.solver));
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto prove_start = Clock::now();
   const ProveResult result = prove_assignment(*scheme, g, options);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  const double ms = ms_since(prove_start);
   if (!result.certificates.has_value()) {
     std::printf(shape == nullptr
                     ? "prover: refuses (BUG: family generated a no-instance?)\n"
                     : "prover: refuses (the --family shape is a no-instance here)\n");
     return 1;
   }
-  const auto outcome = verify_assignment(*scheme, g, *result.certificates, options);
+  const auto verify_start = Clock::now();
+  VerificationOutcome outcome;
+  {
+    const obs::TraceSpan span(trace_verify);
+    outcome = verify_assignment(*scheme, g, *result.certificates, options);
+  }
+  const double verify_ms = ms_since(verify_start);
+  const double total_ms = ms_since(run_start);
   std::printf("prover: %.3f ms, memo hits %zu / misses %zu\n", ms, result.memo_hits,
               result.memo_misses);
   std::printf(
@@ -326,6 +347,8 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
               outcome.max_certificate_bits, outcome.total_certificate_bits);
   std::printf("verification: %s\n",
               outcome.all_accept ? "all vertices accept" : "SOME VERTEX REJECTS (bug)");
+  std::printf("wall time: generate+ids %.3f ms, prove %.3f ms, verify %.3f ms, total %.3f ms\n",
+              generate_ms, ms, verify_ms, total_ms);
 
   report.add()
       .set("scheme", entry->key)
@@ -334,7 +357,10 @@ int prove_command(const std::vector<std::string>& args, obs::Report& report) {
       .set("memo", options.memoize ? "on" : "off")
       .set("family", shape == nullptr ? "yes-instance" : shape->name)
       .set("solver", solve::backend_name(options.solver))
+      .set("generate_ms", generate_ms)
       .set("prove_ms", ms)
+      .set("verify_ms", verify_ms)
+      .set("total_ms", total_ms)
       .set("memo_hits", result.memo_hits)
       .set("memo_misses", result.memo_misses)
       .set("feas_pruned", result.feas.pruned)

@@ -372,14 +372,15 @@ bool oracle_star(const Graph& t) {
 }
 
 bool oracle_caterpillar(const Graph& t) {
-  // Remove leaves; remainder must be empty or a path.
-  std::vector<Vertex> keep;
-  for (Vertex v = 0; v < t.vertex_count(); ++v)
-    if (t.degree(v) >= 2) keep.push_back(v);
-  if (keep.empty()) return true;
-  const Graph spine = t.induced(keep);
-  if (!spine.is_connected()) return false;
-  return oracle_path(spine);
+  // The non-leaves of a tree span a subtree, which is a path (or empty)
+  // exactly when no non-leaf has more than two non-leaf neighbours.
+  for (Vertex v = 0; v < t.vertex_count(); ++v) {
+    if (t.degree(v) < 2) continue;
+    std::size_t inner = 0;
+    for (Vertex w : t.neighbors(v))
+      if (t.degree(w) >= 2 && ++inner > 2) return false;
+  }
+  return true;
 }
 
 bool oracle_max_degree_3(const Graph& t) {

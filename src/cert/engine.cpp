@@ -55,31 +55,17 @@ View make_view(const Graph& g, const std::vector<Certificate>& certificates, Ver
   return view;
 }
 
-ViewCache::ViewCache(const Graph& g) : g_(&g) {
-  const std::size_t n = g.vertex_count();
-  ids_.resize(n);
-  offsets_.resize(n + 1, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    ids_[v] = g.id(v);
-    offsets_[v + 1] = offsets_[v] + g.degree(v);
-  }
-  neighbor_index_.reserve(offsets_[n]);
-  neighbor_id_.reserve(offsets_[n]);
-  for (Vertex v = 0; v < n; ++v)
-    for (Vertex w : g.neighbors(v)) {
-      neighbor_index_.push_back(w);
-      neighbor_id_.push_back(g.id(w));
-    }
-}
-
 ViewCache::Binding::Binding(const ViewCache& cache, const std::vector<Certificate>& certificates)
     : cache_(&cache), certificates_(&certificates) {
   if (certificates.size() != cache.vertex_count())
     throw std::invalid_argument("ViewCache::bind: wrong number of certificates");
-  const std::size_t m = cache.neighbor_index_.size();
-  entries_.resize(m);
-  for (std::size_t k = 0; k < m; ++k)
-    entries_[k] = {cache.neighbor_id_[k], &certificates[cache.neighbor_index_[k]]};
+  const std::span<const Vertex> adjacency = cache.adjacency_;
+  const std::span<const VertexId> ids = cache.ids_;
+  entries_.resize(adjacency.size());
+  for (std::size_t k = 0; k < adjacency.size(); ++k) {
+    const Vertex w = adjacency[k];
+    entries_[k] = {ids[w], &certificates[w]};
+  }
 }
 
 ViewCache::Binding ViewCache::bind(const std::vector<Certificate>& certificates) const {

@@ -1,13 +1,13 @@
 // Evaluation engine: runs a scheme's verifier at every vertex and accounts
 // certificate sizes in bits (the paper's performance measure).
 //
-// The hot path is zero-copy and parallel. A ViewCache precomputes the
-// CSR-style view topology (self IDs, neighbor IDs, neighbor vertex indices)
-// once per graph; binding a certificate assignment to it is a single O(m)
-// pointer fill, and each per-vertex ViewRef is then handed out without
-// copying a byte of certificate data. verify_assignment fans the vertices
-// out over a worker pool; results are deterministic (the rejecting set is
-// produced in vertex order regardless of thread count).
+// The hot path is zero-copy and parallel. A ViewCache borrows the graph's
+// own CSR topology (offsets, neighbor vertex indices, self IDs); binding a
+// certificate assignment to it is a single O(m) fill of {neighbor ID,
+// certificate pointer} pairs, and each per-vertex ViewRef is then handed out
+// without copying a byte of certificate data. verify_assignment fans the
+// vertices out over a worker pool; results are deterministic (the rejecting
+// set is produced in vertex order regardless of thread count).
 #pragma once
 
 #include <cstddef>
@@ -23,22 +23,25 @@ namespace lcert {
 /// engine itself goes through ViewCache.
 View make_view(const Graph& g, const std::vector<Certificate>& certificates, Vertex v);
 
-/// Reusable zero-copy view factory for one graph. Construction walks the
-/// adjacency once; every later verification pass over the same graph (the
-/// scaling experiments, the audit's hundreds of forged assignments) reuses
-/// the topology and only rebinds certificate pointers.
+/// Reusable zero-copy view factory for one graph. It copies nothing: the
+/// topology is the graph's CSR arrays, borrowed (so the graph must outlive
+/// the cache, and a temporary graph is refused). Every verification pass over
+/// the same graph (the scaling experiments, the audit's hundreds of forged
+/// assignments) only rebinds certificate pointers.
 class ViewCache {
  public:
-  explicit ViewCache(const Graph& g);
+  explicit ViewCache(const Graph& g)
+      : g_(&g), ids_(g.ids()), offsets_(g.offsets()), adjacency_(g.adjacency()) {}
+  ViewCache(Graph&&) = delete;
 
   const Graph& graph() const noexcept { return *g_; }
   std::size_t vertex_count() const noexcept { return ids_.size(); }
 
   /// One certificate assignment bound to the cached topology. Cheap to
-  /// create (one O(m) pointer fill, no certificate copies) and immutable
-  /// afterwards, so a Binding may be shared by concurrent verifier calls.
-  /// Borrows both the cache and the certificate vector: both must outlive
-  /// the binding, and the vector must not be resized while bound.
+  /// create (one O(m) fill, no certificate copies) and immutable afterwards,
+  /// so a Binding may be shared by concurrent verifier calls. Borrows the
+  /// cache, its graph and the certificate vector: all must outlive the
+  /// binding, and the vector must not be resized while bound.
   class Binding {
    public:
     ViewRef view(Vertex v) const noexcept {
@@ -62,10 +65,9 @@ class ViewCache {
 
  private:
   const Graph* g_;
-  std::vector<VertexId> ids_;            ///< self ID per vertex
-  std::vector<std::size_t> offsets_;     ///< CSR offsets, size n+1
-  std::vector<Vertex> neighbor_index_;   ///< CSR neighbor vertex indices
-  std::vector<VertexId> neighbor_id_;    ///< CSR neighbor IDs
+  std::span<const VertexId> ids_;         ///< self ID per vertex
+  std::span<const std::size_t> offsets_;  ///< CSR offsets, size n+1
+  std::span<const Vertex> adjacency_;     ///< CSR neighbor vertex indices
 };
 
 struct VerificationOutcome {

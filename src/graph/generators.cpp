@@ -79,29 +79,31 @@ Graph make_random_tree(std::size_t n, Rng& rng) {
   if (n == 0) throw std::invalid_argument("make_random_tree: n == 0");
   if (n == 1) return Graph(1, {});
   if (n == 2) return Graph(2, {{0, 1}});
-  // Prüfer decoding.
+  // Prüfer decoding, linear: `ptr` only moves up, and a code vertex that
+  // becomes a leaf below it is the next smallest leaf, so each step joins the
+  // smallest remaining leaf to its code without a rescan.
   std::vector<std::size_t> prufer(n - 2);
   for (auto& x : prufer) x = rng.index(n);
   std::vector<std::size_t> degree(n, 1);
   for (std::size_t x : prufer) ++degree[x];
   std::vector<std::pair<Vertex, Vertex>> edges;
-  // Min-heap over leaves.
-  std::vector<bool> used(n, false);
+  edges.reserve(n - 1);
+  std::size_t ptr = 0;
+  while (degree[ptr] != 1) ++ptr;
+  std::size_t leaf = ptr;
   for (std::size_t code : prufer) {
-    std::size_t leaf = SIZE_MAX;
-    for (std::size_t v = 0; v < n; ++v)
-      if (degree[v] == 1 && !used[v]) {
-        leaf = v;
-        break;
-      }
     edges.emplace_back(leaf, code);
-    used[leaf] = true;
-    --degree[code];
+    if (--degree[code] == 1 && code < ptr) {
+      leaf = code;
+    } else {
+      ++ptr;
+      while (degree[ptr] != 1) ++ptr;
+      leaf = ptr;
+    }
   }
-  std::vector<std::size_t> last;
-  for (std::size_t v = 0; v < n; ++v)
-    if (degree[v] == 1 && !used[v]) last.push_back(v);
-  edges.emplace_back(last.at(0), last.at(1));
+  // The two vertices left are the current leaf and n - 1, which is never the
+  // smallest leaf while another one remains.
+  edges.emplace_back(leaf, n - 1);
   return Graph(n, edges);
 }
 

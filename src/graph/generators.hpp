@@ -37,7 +37,8 @@ Graph make_spider(std::size_t legs, std::size_t leg_length);
 /// Complete binary tree with `levels` levels (2^levels - 1 vertices).
 Graph make_complete_binary_tree(std::size_t levels);
 
-/// Uniform random labeled tree on n vertices via a Prüfer sequence.
+/// Uniform random labeled tree on n vertices via a Prüfer sequence, decoded
+/// in O(n).
 Graph make_random_tree(std::size_t n, Rng& rng);
 
 /// Random rooted tree with exactly n vertices and height <= max_depth, built

@@ -7,6 +7,7 @@
 // the radius-1 model honest.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <span>
@@ -18,25 +19,46 @@ namespace lcert {
 using Vertex = std::size_t;
 using VertexId = std::uint64_t;
 
-/// Immutable simple graph with adjacency lists and external vertex IDs.
+/// Immutable simple graph with external vertex IDs, stored as one CSR
+/// topology: v's neighbours are adjacency()[offsets()[v] .. offsets()[v+1]),
+/// sorted ascending.
 class Graph {
  public:
   Graph() = default;
 
-  /// Builds a graph on `n` vertices with the given undirected edge list.
-  /// IDs default to 1..n. Duplicate edges and loops are rejected.
+  /// Builds a graph on `n` vertices with the given undirected edge list in
+  /// O(n + m log Δ). IDs default to 1..n. Duplicate edges (in either
+  /// orientation) and loops throw std::invalid_argument, an endpoint >= n
+  /// throws std::out_of_range.
   Graph(std::size_t n, const std::vector<std::pair<Vertex, Vertex>>& edges);
 
-  std::size_t vertex_count() const noexcept { return adjacency_.size(); }
-  std::size_t edge_count() const noexcept { return edge_count_; }
+  std::size_t vertex_count() const noexcept { return ids_.size(); }
+  std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
 
-  std::span<const Vertex> neighbors(Vertex v) const { return adjacency_.at(v); }
-  std::size_t degree(Vertex v) const { return adjacency_.at(v).size(); }
+  /// Sorted neighbours of v; throws std::out_of_range when v >= n.
+  std::span<const Vertex> neighbors(Vertex v) const {
+    check_vertex(v);
+    return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+  }
+  std::size_t degree(Vertex v) const {
+    check_vertex(v);
+    return offsets_[v + 1] - offsets_[v];
+  }
 
-  /// O(log deg) membership test (adjacency lists are kept sorted).
-  bool has_edge(Vertex u, Vertex v) const;
+  /// O(log deg) membership test over the sorted neighbour list.
+  bool has_edge(Vertex u, Vertex v) const {
+    const auto nbrs = neighbors(u);
+    return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  }
 
   VertexId id(Vertex v) const { return ids_.at(v); }
+
+  /// The CSR arrays: offsets (n+1 entries, none for Graph()), the
+  /// concatenated sorted neighbour lists (2m entries) and the ID per vertex.
+  /// The verify engine's ViewCache borrows them instead of copying.
+  std::span<const std::size_t> offsets() const noexcept { return offsets_; }
+  std::span<const Vertex> adjacency() const noexcept { return adjacency_; }
+  std::span<const VertexId> ids() const noexcept { return ids_; }
 
   /// Replaces the ID assignment; IDs must be distinct and >= 1.
   void set_ids(std::vector<VertexId> ids);
@@ -60,9 +82,15 @@ class Graph {
   std::string to_string() const;
 
  private:
-  std::vector<std::vector<Vertex>> adjacency_;
+  void check_vertex(Vertex v) const {
+    if (v >= ids_.size()) vertex_out_of_range();
+  }
+  [[noreturn]] static void vertex_out_of_range();
+  friend void assign_random_ids(Graph& g, class Rng& rng);
+
+  std::vector<std::size_t> offsets_;  ///< CSR offsets, size n+1
+  std::vector<Vertex> adjacency_;     ///< sorted neighbour lists, size 2m
   std::vector<VertexId> ids_;
-  std::size_t edge_count_ = 0;
 };
 
 /// Assigns random distinct IDs from [1, n^2] (the model's polynomial range).

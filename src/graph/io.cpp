@@ -26,6 +26,9 @@ Graph parse_edge_list(std::istream& in) {
     if (op == "n") {
       if (have_n) fail("duplicate 'n' line");
       if (!(ls >> n) || n == 0) fail("bad vertex count");
+      if (n > kMaxEdgeListVertices)
+        fail("vertex count " + std::to_string(n) + " above the cap of " +
+             std::to_string(kMaxEdgeListVertices));
       have_n = true;
     } else if (op == "e") {
       std::size_t u = 0, v = 0;

@@ -8,6 +8,7 @@
 //   # comment lines and blank lines are ignored
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -15,8 +16,14 @@
 
 namespace lcert {
 
+/// Largest vertex count parse_edge_list accepts: 2^24, 64 times the largest
+/// instance the benchmarks run. The cap is checked before anything of size n
+/// is allocated, so a one-line file cannot ask for gigabytes.
+inline constexpr std::size_t kMaxEdgeListVertices = std::size_t{1} << 24;
+
 /// Parses the edge-list format; throws std::invalid_argument with a line
-/// number on malformed input.
+/// number on malformed input, including a vertex count above
+/// kMaxEdgeListVertices.
 Graph parse_edge_list(std::istream& in);
 Graph parse_edge_list(const std::string& text);
 

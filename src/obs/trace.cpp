@@ -26,20 +26,18 @@ struct TraceSink::Buffer {
   std::uint32_t tid;
 };
 
-// Registers the calling thread's buffer on first emit and retires its events
-// into the sink when the thread exits (worker-pool threads join per call, so
+// Takes the calling thread's buffer on first emit and retires it into the
+// sink when the thread exits (worker-pool threads join per call, so
 // retirement is the common path — mirrors MetricsRegistry::ShardOwner).
 struct TraceSink::BufferOwner {
-  explicit BufferOwner(TraceSink& sink_) : sink(&sink_) {
-    std::lock_guard<std::mutex> lock(sink->mutex_);
-    buffer = std::make_unique<Buffer>(sink->capacity_, sink->next_tid_++);
-    sink->buffers_.push_back(buffer.get());
-  }
-  ~BufferOwner() { sink->retire_buffer(buffer.get()); }
+  explicit BufferOwner(TraceSink& sink_) : sink(&sink_), buffer(sink_.acquire_buffer()) {}
+  ~BufferOwner() { sink->retire_buffer(std::move(buffer)); }
 
   TraceSink* sink;
   std::unique_ptr<Buffer> buffer;
 };
+
+TraceSink::~TraceSink() = default;
 
 TraceSink& TraceSink::instance() {
   // Function-local static: constructed before any BufferOwner (buffers are
@@ -52,6 +50,7 @@ TraceSink& TraceSink::instance() {
 void TraceSink::set_capacity(std::size_t events_per_thread) {
   std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = events_per_thread;
+  spare_.clear();
 }
 
 std::size_t TraceSink::capacity() const {
@@ -72,13 +71,30 @@ TraceSink::Buffer& TraceSink::local_buffer() {
   return *owner.buffer;
 }
 
-void TraceSink::retire_buffer(Buffer* buffer) noexcept {
+std::unique_ptr<TraceSink::Buffer> TraceSink::acquire_buffer() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_ptr<Buffer> buffer;
+  if (spare_.empty()) {
+    buffer = std::make_unique<Buffer>(capacity_, next_tid_++);
+  } else {
+    buffer = std::move(spare_.back());
+    spare_.pop_back();
+    buffer->size.store(0, std::memory_order_relaxed);
+    buffer->dropped.store(0, std::memory_order_relaxed);
+    buffer->tid = next_tid_++;
+  }
+  buffers_.push_back(buffer.get());
+  return buffer;
+}
+
+void TraceSink::retire_buffer(std::unique_ptr<Buffer> buffer) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t n = buffer->size.load(std::memory_order_acquire);
   retired_events_.insert(retired_events_.end(), buffer->events.begin(),
                          buffer->events.begin() + static_cast<std::ptrdiff_t>(n));
   retired_dropped_ += buffer->dropped.load(std::memory_order_relaxed);
-  buffers_.erase(std::remove(buffers_.begin(), buffers_.end(), buffer), buffers_.end());
+  buffers_.erase(std::remove(buffers_.begin(), buffers_.end(), buffer.get()), buffers_.end());
+  spare_.push_back(std::move(buffer));
 }
 
 void TraceSink::emit(std::uint32_t name_id, TraceEventKind kind, std::uint64_t logical,

@@ -10,12 +10,15 @@
 //     order, so the multiset of (name, kind, logical, arg) tuples is
 //     bit-identical for every thread count (pinned by tests/test_obs.cpp).
 //
-// Ring-buffer contract: each thread owns one fixed-capacity buffer created
-// on its first emit; when the buffer is full, recording STOPS for that
-// thread and every further event is counted in dropped() — events are never
+// Ring-buffer contract: each thread owns one fixed-capacity buffer taken on
+// its first emit; when the buffer is full, recording STOPS for that thread
+// and every further event is counted in dropped() — events are never
 // overwritten and never silently lost. Buffers retire into the sink when
 // their thread exits (the worker pool joins threads per call, mirroring the
-// MetricsRegistry shard lifecycle); take() drains retired and live buffers.
+// MetricsRegistry shard lifecycle): their events move to the sink and the
+// emptied buffer goes on a spare list, so the next thread reuses it under a
+// fresh tid instead of allocating and zeroing a new one. take() drains
+// retired and live buffers.
 //
 // When tracing is disabled (the default), an emit is one relaxed load and a
 // branch — cheap enough to leave in per-batch loops (the <1% overhead
@@ -73,8 +76,9 @@ class TraceSink {
   bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
 
-  /// Per-thread buffer capacity in events. Applies to buffers created after
-  /// the call; existing buffers keep their size. Test/config knob.
+  /// Per-thread buffer capacity in events. Applies to buffers taken after
+  /// the call (spare buffers of the old size are freed); live buffers keep
+  /// their size. Test/config knob.
   void set_capacity(std::size_t events_per_thread);
   std::size_t capacity() const;
 
@@ -104,14 +108,17 @@ class TraceSink {
   struct BufferOwner;  ///< thread_local registrar; retires on thread exit
 
   TraceSink() = default;
+  ~TraceSink();
   Buffer& local_buffer();
-  void retire_buffer(Buffer* buffer) noexcept;
+  std::unique_ptr<Buffer> acquire_buffer();
+  void retire_buffer(std::unique_ptr<Buffer> buffer) noexcept;
 
   std::atomic<bool> enabled_{false};
 
   mutable std::mutex mutex_;  ///< guards names, buffer list, retired events
   std::vector<std::string> names_;
   std::vector<Buffer*> buffers_;
+  std::vector<std::unique_ptr<Buffer>> spare_;  ///< retired, emptied, reusable
   std::vector<TraceEvent> retired_events_;
   std::uint64_t retired_dropped_ = 0;
   std::size_t capacity_ = std::size_t{1} << 16;

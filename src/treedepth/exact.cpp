@@ -14,11 +14,14 @@ namespace {
 using Mask = std::uint32_t;
 
 struct Solver {
-  const Graph& g;
+  std::vector<Mask> adjacency;  // neighbour mask per vertex (n <= 25)
   std::unordered_map<Mask, std::uint8_t> memo;
   std::unordered_map<Mask, Vertex> best_root;  // optimal root per connected mask
 
-  explicit Solver(const Graph& graph) : g(graph) {}
+  explicit Solver(const Graph& g) : adjacency(g.vertex_count(), 0) {
+    for (Vertex v = 0; v < g.vertex_count(); ++v)
+      for (Vertex w : g.neighbors(v)) adjacency[v] |= Mask{1} << w;
+  }
 
   // Connected components of the sub graph induced by mask.
   std::vector<Mask> components(Mask mask) const {
@@ -31,13 +34,9 @@ struct Solver {
       while (frontier != 0) {
         const Vertex v = static_cast<Vertex>(__builtin_ctz(frontier));
         frontier &= frontier - 1;
-        for (Vertex w : g.neighbors(v)) {
-          const Mask bit = Mask{1} << w;
-          if ((mask & bit) && !(comp & bit)) {
-            comp |= bit;
-            frontier |= bit;
-          }
-        }
+        const Mask fresh = adjacency[v] & mask & ~comp;
+        comp |= fresh;
+        frontier |= fresh;
       }
       out.push_back(comp);
       todo &= ~comp;

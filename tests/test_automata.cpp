@@ -6,6 +6,7 @@
 #include "src/automata/uop_automaton.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/tree_iso.hpp"
+#include "src/schemes/registry.hpp"
 #include "src/util/rng.hpp"
 
 namespace lcert {
@@ -334,6 +335,41 @@ TEST(LibraryAutomata, KnownInstances) {
   EXPECT_FALSE(accepts_tree(get("radius<=3"), make_path(10)));
   EXPECT_TRUE(accepts_tree(get("leaves>=4"), make_star(5)));
   EXPECT_FALSE(accepts_tree(get("leaves>=4"), make_path(10)));
+}
+
+// The caterpillar oracle (holds()'s gate for mso-caterpillar) counts
+// non-leaf neighbours in O(n); the registry's reference oracle still builds
+// the spine with Graph::induced. Both must agree on random trees, relabelled
+// caterpillars and spiders.
+TEST(LibraryAutomata, CaterpillarOracleMatchesTheRegistryReference) {
+  const auto lib = standard_tree_automata();
+  const auto& caterpillar = lib[2];
+  ASSERT_EQ(caterpillar.name, "caterpillar");
+  const auto entry = find_scheme("mso-caterpillar");
+  ASSERT_TRUE(entry.family.has_reference_oracle);
+  Rng rng(2024);
+  auto relabel = [&rng](const Graph& t) {
+    const auto perm = rng.permutation(t.vertex_count());
+    std::vector<std::pair<Vertex, Vertex>> edges;
+    for (auto [u, v] : t.edges()) edges.emplace_back(perm[u], perm[v]);
+    return Graph(t.vertex_count(), edges);
+  };
+  std::vector<Graph> trees;
+  for (int trial = 0; trial < 400; ++trial) trees.push_back(make_random_tree(1 + rng.index(40), rng));
+  for (std::size_t spine = 1; spine <= 8; ++spine)
+    for (std::size_t legs = 0; legs <= 3; ++legs)
+      trees.push_back(relabel(make_caterpillar(spine, legs)));
+  for (std::size_t legs = 0; legs <= 5; ++legs)
+    for (std::size_t length = 1; length <= 4; ++length)
+      trees.push_back(relabel(make_spider(legs, length)));
+  std::size_t yes = 0;
+  for (const Graph& t : trees) {
+    const bool expected = entry.family.reference_oracle(t);
+    EXPECT_EQ(caterpillar.oracle(t), expected) << t.to_string();
+    yes += expected ? 1 : 0;
+  }
+  EXPECT_GT(yes, 40u);
+  EXPECT_GT(trees.size() - yes, 40u);
 }
 
 TEST(LibraryAutomata, SpiderHasNoPerfectMatchingButPathDoes) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 
 #include "src/graph/connectivity.hpp"
 #include "src/graph/generators.hpp"
@@ -31,6 +32,43 @@ TEST(Graph, RejectsLoopsAndDuplicates) {
   EXPECT_THROW(Graph(2, {{0, 0}}), std::invalid_argument);
   EXPECT_THROW(Graph(2, {{0, 1}, {1, 0}}), std::invalid_argument);
   EXPECT_THROW(Graph(2, {{0, 2}}), std::out_of_range);
+}
+
+// The CSR layout's edge cases: every single-fault input throws its documented
+// type, lists come out sorted, and isolated vertices and the empty graph have
+// empty lists.
+TEST(Graph, CsrEdgeCases) {
+  EXPECT_THROW(Graph(3, {{0, 1}, {2, 2}}), std::invalid_argument);  // loop
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 2}, {2, 1}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{1, 2}, {1, 2}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1}, {3, 1}}), std::out_of_range);
+
+  const Graph star(4, {{0, 3}, {0, 1}, {2, 0}});
+  EXPECT_EQ(std::vector<Vertex>(star.neighbors(0).begin(), star.neighbors(0).end()),
+            (std::vector<Vertex>{1, 2, 3}));
+  EXPECT_EQ(star.offsets().size(), 5u);
+  EXPECT_EQ(star.adjacency().size(), 6u);
+  EXPECT_THROW(star.neighbors(4), std::out_of_range);
+  EXPECT_THROW(star.degree(4), std::out_of_range);
+  EXPECT_THROW(star.has_edge(4, 0), std::out_of_range);
+  EXPECT_FALSE(star.has_edge(0, 4));
+
+  const Graph sparse(5, {{1, 3}});
+  EXPECT_EQ(sparse.edge_count(), 1u);
+  for (Vertex v : {0u, 2u, 4u}) {
+    EXPECT_EQ(sparse.degree(v), 0u);
+    EXPECT_TRUE(sparse.neighbors(v).empty());
+  }
+  EXPECT_EQ(sparse.edges(), (std::vector<std::pair<Vertex, Vertex>>{{1, 3}}));
+  EXPECT_FALSE(sparse.is_connected());
+
+  const Graph empty;
+  EXPECT_EQ(empty.vertex_count(), 0u);
+  EXPECT_EQ(empty.edge_count(), 0u);
+  EXPECT_TRUE(empty.adjacency().empty());
+  EXPECT_TRUE(empty.edges().empty());
+  EXPECT_FALSE(empty.is_connected());
+  EXPECT_THROW(empty.neighbors(0), std::out_of_range);
 }
 
 TEST(Graph, IdAssignment) {
@@ -62,6 +100,43 @@ TEST(Graph, InducedSubgraph) {
   EXPECT_EQ(sub.vertex_count(), 4u);
   EXPECT_EQ(sub.edge_count(), 3u);  // the path 0-1-2-3
   EXPECT_EQ(sub.id(0), g.id(0));
+
+  g.set_ids({60, 50, 40, 30, 20, 10});
+  const Graph reordered = g.induced({5, 0, 3});  // keep order defines new indices
+  EXPECT_EQ(reordered.edges(), (std::vector<std::pair<Vertex, Vertex>>{{0, 1}}));
+  EXPECT_EQ(reordered.id(0), 10u);
+  EXPECT_EQ(reordered.id(2), 30u);
+  EXPECT_THROW(g.induced({0, 6}), std::out_of_range);
+  EXPECT_THROW(g.induced({1, 2, 1}), std::invalid_argument);
+}
+
+// Reference for assign_random_ids: the one-at-a-time rejection loop, a draw
+// kept unless a hash set has seen its value.
+std::vector<VertexId> hash_set_random_ids(std::size_t n, Rng& rng) {
+  const std::uint64_t range = static_cast<std::uint64_t>(n) * n + 1;
+  std::unordered_set<VertexId> chosen;
+  std::vector<VertexId> ids;
+  while (ids.size() < n) {
+    const VertexId candidate = rng.uniform(1, range);
+    if (chosen.insert(candidate).second) ids.push_back(candidate);
+  }
+  return ids;
+}
+
+// Sorting instead of hashing keeps every seeded instance's IDs: same IDs,
+// same order, same RNG draws. n = 2 and 3 draw from 5 and 10 values, so
+// repeats (and second and third rounds) are common.
+TEST(Graph, RandomIdsMatchTheHashSetLoop) {
+  for (std::size_t n : {1u, 2u, 3u, 5u, 8u, 24u, 1000u})
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Rng fast(seed), reference(seed);
+      Graph g = make_path(n);
+      assign_random_ids(g, fast);
+      const std::vector<VertexId> expected = hash_set_random_ids(n, reference);
+      ASSERT_EQ(std::vector<VertexId>(g.ids().begin(), g.ids().end()), expected)
+          << "n=" << n << " seed=" << seed;
+      ASSERT_TRUE(fast.engine() == reference.engine()) << "n=" << n << " seed=" << seed;
+    }
 }
 
 TEST(Graph, BfsDistances) {
@@ -84,6 +159,50 @@ TEST(Generators, Caterpillar) {
   EXPECT_EQ(c.vertex_count(), 12u);
   EXPECT_EQ(c.edge_count(), 11u);
   EXPECT_TRUE(c.is_connected());
+}
+
+// Reference for make_random_tree: the quadratic Prüfer decode, each step
+// rescanning from vertex 0 for the smallest unused leaf.
+Graph quadratic_random_tree(std::size_t n, Rng& rng) {
+  if (n == 1) return Graph(1, {});
+  if (n == 2) return Graph(2, {{0, 1}});
+  std::vector<std::size_t> prufer(n - 2);
+  for (auto& x : prufer) x = rng.index(n);
+  std::vector<std::size_t> degree(n, 1);
+  for (std::size_t x : prufer) ++degree[x];
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  std::vector<bool> used(n, false);
+  for (std::size_t code : prufer) {
+    std::size_t leaf = SIZE_MAX;
+    for (std::size_t v = 0; v < n; ++v)
+      if (degree[v] == 1 && !used[v]) {
+        leaf = v;
+        break;
+      }
+    edges.emplace_back(leaf, code);
+    used[leaf] = true;
+    --degree[code];
+  }
+  std::vector<std::size_t> last;
+  for (std::size_t v = 0; v < n; ++v)
+    if (degree[v] == 1 && !used[v]) last.push_back(v);
+  edges.emplace_back(last.at(0), last.at(1));
+  return Graph(n, edges);
+}
+
+// The linear decode builds the same tree from the same draws, so every
+// seeded instance (golden corpus, benchmarks) is unchanged.
+TEST(Generators, LinearPruferDecodeMatchesTheQuadraticOne) {
+  std::vector<std::size_t> sizes{31, 100, 1000, 4097};
+  for (std::size_t n = 1; n <= 10; ++n) sizes.push_back(n);
+  for (std::size_t n : sizes)
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+      Rng fast(seed), reference(seed);
+      const Graph t = make_random_tree(n, fast);
+      const Graph expected = quadratic_random_tree(n, reference);
+      ASSERT_EQ(t.edges(), expected.edges()) << "n=" << n << " seed=" << seed;
+      ASSERT_TRUE(fast.engine() == reference.engine()) << "n=" << n << " seed=" << seed;
+    }
 }
 
 TEST(Generators, RandomTreeIsTree) {

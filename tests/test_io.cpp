@@ -40,6 +40,22 @@ TEST(GraphIo, ParseErrors) {
   EXPECT_THROW(parse_edge_list("n 2\nid 5 9\n"), std::invalid_argument);    // id range
 }
 
+// A one-line file cannot ask for a graph above the cap: it is refused before
+// anything of size n is allocated, and the message names the cap.
+TEST(GraphIo, VertexCountAboveTheCapIsRefused) {
+  try {
+    parse_edge_list("n 99999999999\n");
+    FAIL() << "an 11-digit vertex count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxEdgeListVertices)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_edge_list("n " + std::to_string(kMaxEdgeListVertices + 1) + "\n"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_edge_list("n 3\n").vertex_count(), 3u);
+}
+
 TEST(GraphIo, RoundTripRandom) {
   Rng rng(1);
   for (int trial = 0; trial < 20; ++trial) {

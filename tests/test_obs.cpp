@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <set>
 #include <string>
 
 #include <chrono>
@@ -399,6 +400,36 @@ TEST_F(TraceTest, OverflowStopsRecordingAndCountsDrops) {
   // The retained prefix is the *first* 8 events, in emission order.
   for (std::size_t i = 0; i < snap.events.size(); ++i)
     EXPECT_EQ(snap.events[i].logical, i);
+}
+
+// Worker threads of consecutive parallel_for calls reuse retired buffers
+// (no fresh 2 MB ring per thread): nothing is dropped, and every worker
+// thread still gets its own tid, never one of an earlier call's.
+TEST_F(TraceTest, ReusedBuffersKeepEveryEventUnderFreshTids) {
+  const std::uint32_t id = obs::trace_sink().name_id("test/reuse");
+  obs::trace_sink().emit(id, obs::TraceEventKind::kInstant, 0, 0);
+  const std::uint32_t main_tid = obs::trace_sink().take().events.at(0).tid;
+  constexpr std::size_t kItems = 64;
+  std::set<std::uint32_t> worker_tids[2];
+  for (std::uint64_t call = 0; call < 2; ++call) {
+    parallel_for(kItems, 4, [&](std::size_t i) {
+      obs::trace_sink().emit(id, obs::TraceEventKind::kInstant, call * kItems + i, 0);
+      // Slow items, so that every worker thread gets some.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    const obs::TraceSnapshot snap = obs::trace_sink().take();
+    EXPECT_EQ(snap.dropped, 0u);
+    ASSERT_EQ(snap.events.size(), kItems);
+    std::set<std::uint64_t> logical;
+    for (const obs::TraceEvent& e : snap.events) {
+      logical.insert(e.logical);
+      if (e.tid != main_tid) worker_tids[call].insert(e.tid);
+    }
+    EXPECT_EQ(logical.size(), kItems);
+    EXPECT_EQ(*logical.begin(), call * kItems);
+    EXPECT_FALSE(worker_tids[call].empty());
+  }
+  for (std::uint32_t tid : worker_tids[1]) EXPECT_EQ(worker_tids[0].count(tid), 0u) << tid;
 }
 
 // The determinism contract: logical sequence numbers come from work identity

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <type_traits>
 
 #include "src/cert/audit.hpp"
 #include "src/cert/engine.hpp"
@@ -182,6 +183,11 @@ TEST(ViewCache, MatchesMakeViewOnGeneratorZoo) {
     expect_cache_matches_make_view(g, rng, name);
   }
 }
+
+// The cache borrows the graph's CSR arrays, so a temporary graph would leave
+// it dangling: that constructor is deleted.
+static_assert(std::is_constructible_v<ViewCache, const Graph&>);
+static_assert(!std::is_constructible_v<ViewCache, Graph&&>);
 
 TEST(ViewCache, RebindSwitchesAssignmentsWithoutRebuilding) {
   Rng rng(7500);
