@@ -13,6 +13,7 @@
 // synthesize sub-views from decoded material.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -34,25 +35,92 @@ namespace lcert {
 class ProverContext;   // src/cert/prove.hpp
 struct UOPAutomaton;   // src/automata/uop_automaton.hpp
 
+/// The bytes of a certificate. Up to kInline bytes (every MSO certificate,
+/// and the O(log n)-bit ones at the sizes the repo runs) live inside the
+/// object, so an assignment of n certificates is one allocation instead of
+/// n + 1 and 32 bytes per vertex instead of 64. Longer strings go to the heap.
+class CertBytes {
+ public:
+  static constexpr std::size_t kInline = 16;
+  using value_type = std::uint8_t;
+  using iterator = std::uint8_t*;
+  using const_iterator = const std::uint8_t*;
+
+  CertBytes() noexcept {}
+  explicit CertBytes(std::span<const std::uint8_t> b) : size_(b.size()) {
+    if (size_ > kInline) heap_ = new std::uint8_t[size_];
+    std::copy(b.begin(), b.end(), data());
+  }
+  CertBytes(const CertBytes& o) : CertBytes(o.span()) {}
+  CertBytes(CertBytes&& o) noexcept : size_(o.size_) {
+    steal(o);
+  }
+  CertBytes& operator=(const CertBytes& o) {
+    if (this != &o) *this = CertBytes(o);
+    return *this;
+  }
+  CertBytes& operator=(CertBytes&& o) noexcept {
+    if (this != &o) {
+      release();
+      size_ = o.size_;
+      steal(o);
+    }
+    return *this;
+  }
+  ~CertBytes() { release(); }
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  std::uint8_t* data() noexcept { return size_ > kInline ? heap_ : inline_; }
+  const std::uint8_t* data() const noexcept { return size_ > kInline ? heap_ : inline_; }
+  std::uint8_t& operator[](std::size_t i) noexcept { return data()[i]; }
+  std::uint8_t operator[](std::size_t i) const noexcept { return data()[i]; }
+  iterator begin() noexcept { return data(); }
+  iterator end() noexcept { return data() + size_; }
+  const_iterator begin() const noexcept { return data(); }
+  const_iterator end() const noexcept { return data() + size_; }
+  std::span<const std::uint8_t> span() const noexcept { return {data(), size_}; }
+  operator std::span<const std::uint8_t>() const noexcept { return span(); }
+
+  bool operator==(const CertBytes& o) const noexcept {
+    return size_ == o.size_ && std::equal(begin(), end(), o.begin());
+  }
+
+ private:
+  void release() noexcept {
+    if (size_ > kInline) delete[] heap_;
+  }
+  /// Takes o's bytes (size_ already copied) and leaves o empty.
+  void steal(CertBytes& o) noexcept {
+    if (size_ > kInline) heap_ = o.heap_;
+    else std::copy(o.inline_, o.inline_ + kInline, inline_);
+    o.size_ = 0;
+  }
+
+  union {
+    std::uint8_t inline_[kInline] = {};
+    std::uint8_t* heap_;
+  };
+  std::size_t size_ = 0;
+};
+
 /// A certificate is an exact-length bit string.
 struct Certificate {
-  std::vector<std::uint8_t> bytes;
+  CertBytes bytes;
   std::size_t bit_size = 0;
 
-  /// Copies the writer's bytes. Prefer the rvalue overload at prover call
-  /// sites — a finished writer has no further use for its buffer.
+  /// Copies the writer's bytes.
   static Certificate from_writer(const BitWriter& w) {
-    const auto b = w.bytes();
-    return {std::vector<std::uint8_t>(b.begin(), b.end()), w.bit_size()};
+    return {CertBytes(w.bytes()), w.bit_size()};
   }
-  /// Steals the writer's byte buffer (no copy for heap-backed writers; an
-  /// arena-backed writer still copies, since arena memory cannot change
-  /// owners). The writer is left empty.
+  /// Copies the writer's bytes and rewinds the writer, which keeps its
+  /// buffer for the next certificate.
   static Certificate from_writer(BitWriter&& w) {
-    const std::size_t bits = w.bit_size();
-    return {std::move(w).take_bytes(), bits};
+    Certificate c = from_writer(w);
+    w.clear();
+    return c;
   }
-  BitReader reader() const { return BitReader(bytes, bit_size); }
+  BitReader reader() const { return BitReader(bytes.span(), bit_size); }
   bool operator==(const Certificate&) const = default;
 };
 
@@ -192,9 +260,11 @@ class IncrementalProver {
   virtual const std::vector<std::size_t>& changed_vertices() const = 0;
 
   /// True when the last apply() invalidated every certificate (full
-  /// re-prove or certified-status flip). A renumbering prune does NOT set
-  /// this: changed_vertices() tracks vertex identity through the renumber,
-  /// so an unchanged certificate at a shifted index is still "unchanged".
+  /// re-prove or certified-status flip). A leaf prune does NOT set this:
+  /// survivors shift down one index, but changed_vertices() tracks vertex
+  /// identity through the shift (the MSO prover keeps stable slots and
+  /// ranks the changed ones), so an unchanged certificate at a shifted index
+  /// is still "unchanged".
   virtual bool changed_all() const = 0;
 
   /// The accumulated graph (materialized on demand).

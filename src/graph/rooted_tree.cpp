@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace lcert {
 
@@ -37,7 +38,13 @@ RootedTree::RootedTree(std::vector<std::size_t> parent)
   if (visited != n) throw std::invalid_argument("RootedTree: parent array contains a cycle");
 }
 
+void RootedTree::require_compacted(const char* what) const {
+  if (dead_ != 0)
+    throw std::logic_error(std::string("RootedTree::") + what + ": tree has tombstones");
+}
+
 std::size_t RootedTree::height() const {
+  require_compacted("height");
   return *std::max_element(depth_.begin(), depth_.end());
 }
 
@@ -73,6 +80,7 @@ std::vector<std::size_t> RootedTree::subtree(std::size_t v) const {
 }
 
 std::vector<std::vector<std::size_t>> RootedTree::levels() const {
+  require_compacted("levels");
   std::vector<std::vector<std::size_t>> out(height() + 1);
   // Ascending vertex order within each level, by construction.
   for (std::size_t v = 0; v < size(); ++v) out[depth_[v]].push_back(v);
@@ -80,6 +88,7 @@ std::vector<std::vector<std::size_t>> RootedTree::levels() const {
 }
 
 Graph RootedTree::to_graph() const {
+  require_compacted("to_graph");
   std::vector<std::pair<Vertex, Vertex>> edges;
   edges.reserve(size() - 1);
   for (std::size_t v = 0; v < size(); ++v)
@@ -89,38 +98,63 @@ Graph RootedTree::to_graph() const {
 
 std::size_t RootedTree::graft_leaf(std::size_t parent) {
   if (parent >= size()) throw std::out_of_range("graft_leaf: parent out of range");
+  if (!is_live(parent)) throw std::invalid_argument("graft_leaf: parent is a tombstone");
   const std::size_t v = size();
   parent_.push_back(parent);
   children_.emplace_back();
   depth_.push_back(depth_[parent] + 1);
-  children_[parent].push_back(v);  // v > every existing index: stays sorted
+  children_[parent].push_back(v);  // v > every existing slot: stays sorted
   return v;
 }
 
 void RootedTree::prune_leaf(std::size_t leaf) {
-  if (leaf >= size()) throw std::out_of_range("prune_leaf: leaf out of range");
+  kill_leaf(leaf);
+  compact();
+}
+
+void RootedTree::kill_leaf(std::size_t leaf) {
+  if (leaf >= size()) throw std::out_of_range("kill_leaf: leaf out of range");
+  if (!is_live(leaf)) throw std::invalid_argument("kill_leaf: slot is already a tombstone");
   if (!children_[leaf].empty())
-    throw std::invalid_argument("prune_leaf: vertex has children");
-  if (leaf == root_) throw std::invalid_argument("prune_leaf: cannot prune the root");
+    throw std::invalid_argument("kill_leaf: vertex has children");
+  if (leaf == root_) throw std::invalid_argument("kill_leaf: cannot prune the root");
   auto& siblings = children_[parent_[leaf]];
   siblings.erase(std::find(siblings.begin(), siblings.end(), leaf));
-  parent_.erase(parent_.begin() + static_cast<std::ptrdiff_t>(leaf));
-  depth_.erase(depth_.begin() + static_cast<std::ptrdiff_t>(leaf));
-  children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(leaf));
-  // Renumber: every index above the hole shifts down by one. Decrementing a
-  // suffix of values keeps each (sorted) children list sorted.
-  for (std::size_t& p : parent_)
-    if (p != kNoParent && p > leaf) --p;
-  for (auto& kids : children_)
-    for (std::size_t& k : kids)
-      if (k > leaf) --k;
-  if (root_ > leaf) --root_;
+  parent_[leaf] = kDead;
+  ++dead_;
+}
+
+void RootedTree::compact() {
+  if (dead_ == 0) return;
+  // index[s]: the vertex live slot s becomes (its rank among live slots).
+  std::vector<std::size_t> index(size(), kNoParent);
+  std::size_t live = 0;
+  for (std::size_t s = 0; s < size(); ++s)
+    if (parent_[s] != kDead) index[s] = live++;
+  // Every write lands at index[s] <= s, a slot already read: one forward
+  // pass renumbers in place. Renumbering is order-preserving, so each
+  // (sorted) children list stays sorted.
+  for (std::size_t s = 0; s < size(); ++s) {
+    if (parent_[s] == kDead) continue;
+    const std::size_t v = index[s];
+    parent_[v] = parent_[s] == kNoParent ? kNoParent : index[parent_[s]];
+    depth_[v] = depth_[s];
+    if (v != s) children_[v] = std::move(children_[s]);
+    for (std::size_t& k : children_[v]) k = index[k];
+  }
+  parent_.resize(live);
+  depth_.resize(live);
+  children_.resize(live);
+  root_ = index[root_];
+  dead_ = 0;
 }
 
 std::vector<std::size_t> RootedTree::reattach(std::size_t c, std::size_t a,
                                               std::size_t p) {
   if (c >= size() || a >= size() || p >= size())
     throw std::out_of_range("reattach: vertex out of range");
+  if (!is_live(c) || !is_live(a) || !is_live(p))
+    throw std::invalid_argument("reattach: vertex is a tombstone");
   if (c == root_) throw std::invalid_argument("reattach: cannot detach the root");
   if (!is_ancestor(c, a))
     throw std::invalid_argument("reattach: new subtree root outside the detached subtree");

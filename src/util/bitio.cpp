@@ -47,23 +47,6 @@ void BitWriter::grow(std::size_t need_bytes) {
   capacity_ = new_cap;
 }
 
-std::vector<std::uint8_t> BitWriter::take_bytes() && {
-  const std::size_t n = (bit_size_ + 7) / 8;
-  std::vector<std::uint8_t> out;
-  if (arena_ != nullptr) {
-    // Arena memory cannot change owners; copy out and keep the buffer.
-    if (n > 0) out.assign(data_, data_ + n);
-  } else {
-    heap_.resize(n);
-    out = std::move(heap_);
-    heap_.clear();
-    data_ = nullptr;
-    capacity_ = 0;
-  }
-  bit_size_ = 0;
-  return out;
-}
-
 void BitWriter::write_varnat(std::uint64_t value) {
   // Groups of 4 bits, low group first, each preceded by a continuation bit.
   do {

@@ -38,8 +38,7 @@ class CertificateTruncated : public std::out_of_range {
 /// Append-only bit stream. Fields are written MSB-first.
 class BitWriter {
  public:
-  /// Heap-backed: the byte buffer is an owned vector, which
-  /// Certificate::from_writer(BitWriter&&) can steal without a copy.
+  /// Heap-backed: the byte buffer is an owned vector.
   BitWriter() = default;
 
   /// Arena-backed: bytes live in `arena` (which must outlive the writer and
@@ -73,11 +72,6 @@ class BitWriter {
   std::span<const std::uint8_t> bytes() const noexcept {
     return {data_, (bit_size_ + 7) / 8};
   }
-
-  /// Surrenders the byte buffer, sized exactly ceil(bit_size/8), leaving the
-  /// writer empty. Heap mode moves the owned vector out (no copy); arena
-  /// mode must copy, since arena memory cannot change owners.
-  std::vector<std::uint8_t> take_bytes() &&;
 
  private:
   void grow(std::size_t need_bytes);

@@ -145,8 +145,8 @@ TEST(BitIo, ArenaWriterClearLeavesNoStaleBits) {
   for (const std::uint8_t byte : w.bytes()) EXPECT_EQ(byte, 0u);
 }
 
-// The move overload steals the heap buffer; on an arena writer it copies out
-// (arena memory cannot change owners) but leaves the writer reusable.
+// The move overload copies the bytes out and rewinds the writer, which stays
+// reusable in both modes.
 TEST(BitIo, FromWriterMoveMatchesCopy) {
   Arena arena;
   for (const bool use_arena : {false, true}) {
@@ -162,6 +162,33 @@ TEST(BitIo, FromWriterMoveMatchesCopy) {
     EXPECT_EQ(w.bit_size(), 2u);
     BitReader r(w);
     EXPECT_EQ(r.read(2), 0b11u);
+  }
+}
+
+// Certificate bytes live inline up to CertBytes::kInline and on the heap
+// beyond; copies, moves and equality must not care which.
+TEST(BitIo, CertBytesInlineAndHeapAgree) {
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, CertBytes::kInline,
+                                CertBytes::kInline + 1, std::size_t{300}}) {
+    std::vector<std::uint8_t> raw(len);
+    for (std::size_t i = 0; i < len; ++i) raw[i] = static_cast<std::uint8_t>(31 * i + 7);
+    const CertBytes a(raw);
+    ASSERT_EQ(a.size(), len);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), raw.begin(), raw.end())) << len;
+    CertBytes copy = a;
+    EXPECT_EQ(copy, a) << len;
+    CertBytes moved = std::move(copy);
+    EXPECT_EQ(moved, a) << len;
+    EXPECT_TRUE(copy.empty()) << len;  // NOLINT(bugprone-use-after-move)
+    CertBytes assigned(std::vector<std::uint8_t>(40, 1));
+    assigned = a;
+    EXPECT_EQ(assigned, a) << len;
+    assigned = CertBytes(std::vector<std::uint8_t>(3, 2));
+    EXPECT_EQ(assigned.size(), 3u);
+    if (len > 0) {
+      moved[0] ^= 1;
+      EXPECT_FALSE(moved == a) << len;
+    }
   }
 }
 

@@ -333,5 +333,90 @@ TEST(IncrementalCertify, StatsStayWithinTheDirtySlice) {
   EXPECT_GE(st.changed_certificates, 1u);
 }
 
+bool same_graph(const Graph& a, const Graph& b) {
+  if (a.vertex_count() != b.vertex_count() || a.edges() != b.edges()) return false;
+  return std::equal(a.ids().begin(), a.ids().end(), b.ids().begin(), b.ids().end());
+}
+
+TEST(IncrementalCertify, DuplicateIdEditsThrowAndLeaveInstanceUntouched) {
+  // Both paths validate like apply_edit: a graft reusing an ID in use, or a
+  // permutation repeating one, throws std::invalid_argument and changes
+  // neither the certificates nor the graph.
+  for (const std::string key : {"mso-leaves4", "vertex-parity"}) {
+    const RegisteredScheme& entry = find_scheme(key);
+    const auto scheme = entry.make();
+    Rng rng(7);
+    const Graph g = entry.family.yes_instance(24, rng);
+    incr::CertifiedInstance live(*scheme);
+    EXPECT_EQ(live.incremental(), key == "mso-leaves4");
+    ASSERT_TRUE(live.init(g).has_value()) << key;
+    const auto before = live.certificates();
+    GraphEdit graft = make_edit(EditKind::kLeafGraft, 0);
+    graft.fresh_id = g.id(g.vertex_count() - 1);
+    EXPECT_THROW(live.apply(graft), std::invalid_argument) << key;
+    GraphEdit permute;
+    permute.kind = EditKind::kIdPermute;
+    permute.ids.assign(g.ids().begin(), g.ids().end());
+    permute.ids[1] = permute.ids[0];
+    EXPECT_THROW(live.apply(permute), std::invalid_argument) << key;
+    EXPECT_TRUE(live.certificates() == before) << key;
+    EXPECT_TRUE(same_graph(live.graph(), g)) << key;
+  }
+}
+
+TEST(IncrementalCertify, TombstonedChurnMatchesColdProve) {
+  // 3n graft/prune/rehang edits at n = 4096 read certificates() only every
+  // 512 edits, so tombstones pile up between reads: the slot store must
+  // still match a cold prove_assignment bit for bit whenever it is read.
+  const MsoTreeScheme scheme(standard_tree_automata()[kLeaves4]);
+  const std::vector<fuzz::MutatorKind> kinds = {
+      EditKind::kLeafGraft, EditKind::kLeafPrune, EditKind::kSubtreeSwap};
+  RunOptions options;
+  options.num_threads = 1;
+  Rng rng(4096);
+  Graph cur = make_random_tree(4096, rng);
+  assign_random_ids(cur, rng);
+  incr::CertifiedInstance live(scheme, options);
+  ASSERT_TRUE(live.init(cur).has_value());
+  const std::size_t edits = 3 * 4096;
+  for (std::size_t e = 0; e < edits; ++e) {
+    const auto edit = fuzz::draw_edit(cur, kinds[e % kinds.size()], rng);
+    if (!edit.has_value()) continue;
+    EXPECT_TRUE(live.apply(*edit).reverify_clean) << e;
+    cur = apply_edit(cur, *edit);
+    if (e % 512 == 511 || e + 1 == edits) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_matches_cold(scheme, live, cur, options, "edit " + std::to_string(e)));
+    }
+  }
+}
+
+TEST(IncrementalCertify, PruneOnlyCaterpillarWalkCompactsInsideApply) {
+  // Pruning more than half of the legs passes the tombstone threshold, so
+  // apply() compacts on its own; certificates must match cold afterwards.
+  const MsoTreeScheme scheme(standard_tree_automata()[kCaterpillar]);
+  RunOptions options;
+  options.num_threads = 1;
+  Rng rng(11);
+  Graph cur = make_caterpillar(40, 3);
+  assign_random_ids(cur, rng);
+  incr::CertifiedInstance live(scheme, options);
+  ASSERT_TRUE(live.init(cur).has_value());
+  const std::size_t legs = cur.vertex_count() - 40;
+  for (std::size_t k = 0; k < legs / 2 + 10; ++k) {
+    Vertex leaf = cur.vertex_count();
+    for (Vertex v = cur.vertex_count(); v-- > 0;)
+      if (cur.degree(v) == 1 && cur.degree(cur.neighbors(v)[0]) > 2) {
+        leaf = v;
+        break;
+      }
+    ASSERT_LT(leaf, cur.vertex_count());
+    const GraphEdit prune = make_edit(EditKind::kLeafPrune, leaf);
+    EXPECT_TRUE(live.apply(prune).reverify_clean);
+    cur = apply_edit(cur, prune);
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_matches_cold(scheme, live, cur, options, "after prunes"));
+}
+
 }  // namespace
 }  // namespace lcert
