@@ -63,6 +63,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <thread>
 
@@ -714,6 +715,7 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
   std::size_t sum_dirty = 0, max_dirty = 0;
   std::size_t sum_reproved = 0, sum_reverified = 0, sum_changed = 0;
   double sum_reuse = 0, edit_seconds = 0;
+  std::map<EditKind, std::vector<double>> apply_us;  // per-kind apply latency
   for (std::size_t step = 0; step < edits; ++step) {
     // Drawing the edit is untimed — it is workload generation, not repair.
     // Property-breaking edits are redrawn (the watch workload measures the
@@ -741,8 +743,10 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
 
     const auto e0 = std::chrono::steady_clock::now();
     const IncrementalStats st = live.apply(*edit);
-    edit_seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - e0)
-                        .count();
+    const double apply_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - e0).count();
+    edit_seconds += apply_s;
+    apply_us[edit->kind].push_back(apply_s * 1e6);
     cur = std::move(*next);
     ++applied;
     if (st.full_reprove) ++full_reproves;
@@ -776,6 +780,21 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
               "redrawn), %.1f us/edit amortized\n",
               applied, full_reproves, rejected_draws, us_per_edit);
   std::printf("speedup vs cold full re-prove: %.1fx\n", speedup);
+  obs::Record& record = report.add();
+  for (auto& [kind, us] : apply_us) {
+    std::sort(us.begin(), us.end());
+    const double p50 = us[(us.size() - 1) / 2];
+    const std::string label = kind == EditKind::kSubtreeSwap ? "swap"
+                              : kind == EditKind::kLeafGraft ? "graft"
+                              : kind == EditKind::kLeafPrune ? "prune"
+                              : kind == EditKind::kIdPermute ? "permute"
+                                                             : edit_name(kind);
+    std::printf("  %-7s %6zu edits, apply p50 %.1f us, max %.1f us\n", label.c_str(),
+                us.size(), p50, us.back());
+    record.set("apply_count_" + label, us.size())
+        .set("apply_us_p50_" + label, p50)
+        .set("apply_us_max_" + label, us.back());
+  }
   std::printf("dirty-path length: mean %.1f, max %zu\n",
               static_cast<double>(sum_dirty) * inv, max_dirty);
   std::printf("re-proved %.1f / re-verified %.1f vertices per edit, "
@@ -785,8 +804,7 @@ int watch_command(const std::vector<std::string>& args, obs::Report& report) {
               static_cast<double>(sum_changed) * inv, sum_reuse * inv);
   if (check) std::printf("check: %s\n", rc == 0 ? "all edits bit-identical to cold" : "FAILED");
 
-  report.add()
-      .set("scheme", entry->key)
+  record.set("scheme", entry->key)
       .set("family", shape == nullptr ? "yes-instance" : shape->name)
       .set("n", n)
       .set("edits", applied)

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -416,6 +417,55 @@ TEST(IncrementalCertify, PruneOnlyCaterpillarWalkCompactsInsideApply) {
     cur = apply_edit(cur, prune);
   }
   ASSERT_NO_FATAL_FAILURE(expect_matches_cold(scheme, live, cur, options, "after prunes"));
+}
+
+TEST(IncrementalCertify, ChangedVerticesAreExactlyTheChangedCertificates) {
+  // After each apply(), changed_vertices() lists exactly the post-edit
+  // indices whose certificate differs from the same vertex's (matched by ID)
+  // before the edit, plus a grafted vertex. The walk never reads the live
+  // certificates, so tombstones build up and the slot-to-index translation
+  // is what gets checked; the expectation comes from cold proves.
+  const std::vector<fuzz::MutatorKind> kinds = {
+      EditKind::kLeafGraft, EditKind::kLeafPrune, EditKind::kSubtreeSwap};
+  RunOptions options;
+  options.num_threads = 1;
+  for (const std::size_t automaton : {kLeaves4, kCaterpillar}) {
+    const MsoTreeScheme scheme(standard_tree_automata()[automaton]);
+    Rng rng(31 + automaton);
+    Graph cur = automaton == kCaterpillar ? make_caterpillar(20, 2) : make_random_tree(60, rng);
+    assign_random_ids(cur, rng);
+    incr::CertifiedInstance live(scheme, options);
+    ASSERT_TRUE(live.init(cur).has_value());
+    auto before = prove_assignment(scheme, cur, options).certificates;
+    std::size_t checked = 0;
+    for (std::size_t e = 0; e < 300; ++e) {
+      const auto edit = fuzz::draw_edit(cur, kinds[e % kinds.size()], rng);
+      if (!edit.has_value()) continue;
+      // Walk inside the property, so that most edits repair incrementally.
+      const Graph next = apply_edit(cur, *edit);
+      if (!scheme.holds(next)) continue;
+      const IncrementalStats st = live.apply(*edit);
+      const auto after = prove_assignment(scheme, next, options).certificates;
+      if (before.has_value() && after.has_value() && !live.changed_all()) {
+        std::map<VertexId, const Certificate*> old_by_id;
+        for (Vertex v = 0; v < cur.vertex_count(); ++v) old_by_id[cur.id(v)] = &(*before)[v];
+        std::vector<std::size_t> want;
+        for (Vertex v = 0; v < next.vertex_count(); ++v) {
+          const auto it = old_by_id.find(next.id(v));
+          if (it == old_by_id.end() || !(*it->second == (*after)[v])) want.push_back(v);
+        }
+        std::vector<std::size_t> got = live.changed_vertices();
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << scheme.name() << " edit " << e << " (" << to_string(*edit) << ")";
+        EXPECT_EQ(st.changed_certificates, want.size());
+        ++checked;
+      }
+      cur = next;
+      before = after;
+    }
+    EXPECT_GE(checked, 50u) << scheme.name();
+    ASSERT_NO_FATAL_FAILURE(expect_matches_cold(scheme, live, cur, options, "end of walk"));
+  }
 }
 
 }  // namespace
