@@ -1,11 +1,19 @@
-// Exact treedepth via subset dynamic programming.
+// Exact treedepth by branch-and-bound over vertex bitmasks.
 //
 // Ground truth for testing the certification schemes and the lower-bound
-// gadget (Lemma 7.3). td over connected S satisfies
-//   td(S) = 1 + min_{v in S} max_{components C of S - v} td(C)
-// memoized over vertex bitmasks; practical up to ~20 vertices, which is all
-// the correctness tests need. Closed forms for paths/cycles/cliques give an
-// independent cross-check at larger sizes.
+// gadget (Lemma 7.3), and the elimination tree the provers certify at small
+// n. td over connected S satisfies
+//   td(S) = 1 + min_{v in S} max_{components C of S - v} td(C).
+// The solver evaluates this recursion under a cap: roots are tried in
+// ascending order, each root's components get the cap best - 2, a root is
+// dropped at its first component over the cap, and the scan stops once best
+// meets a known lower bound. One memo per mask holds td with its root, or a
+// lower bound when td exceeded the cap it was asked under. A root replaces
+// the incumbent only on a strict improvement, so every mask keeps the first
+// optimal root in vertex order: the treedepth and the elimination tree are
+// exactly those of the full subset DP over every connected subset, which
+// tests/test_treedepth.cpp keeps as the reference. Closed forms for
+// paths/cycles/cliques give an independent cross-check at larger sizes.
 #pragma once
 
 #include <cstddef>

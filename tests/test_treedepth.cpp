@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "src/graph/generators.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/treedepth/cops_robber.hpp"
 #include "src/treedepth/elimination.hpp"
 #include "src/treedepth/exact.hpp"
@@ -173,6 +180,193 @@ TEST_P(TreedepthRandomAgreement, ExactEqualsGameValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TreedepthRandomAgreement, ::testing::Range(0, 20));
+
+// Reference for exact_treedepth_with_model: the full subset DP, which scores
+// every root of every connected subset it reaches and keeps the first
+// optimal root of each.
+class SubsetDp {
+ public:
+  using Mask = std::uint32_t;
+
+  explicit SubsetDp(const Graph& g) : adjacency_(g.vertex_count(), 0) {
+    for (Vertex v = 0; v < g.vertex_count(); ++v)
+      for (Vertex w : g.neighbors(v)) adjacency_[v] |= Mask{1} << w;
+  }
+
+  std::size_t solve(Mask mask) {
+    if (auto it = memo_.find(mask); it != memo_.end()) return it->second;
+    const int popcount = __builtin_popcount(mask);
+    if (popcount == 1) {
+      memo_[mask] = 1;
+      best_root_[mask] = static_cast<Vertex>(__builtin_ctz(mask));
+      return 1;
+    }
+    std::size_t best = static_cast<std::size_t>(popcount);
+    Vertex root = static_cast<Vertex>(__builtin_ctz(mask));
+    for (Mask rest = mask; rest != 0; rest &= rest - 1) {
+      const Vertex v = static_cast<Vertex>(__builtin_ctz(rest));
+      std::size_t worst = 0;
+      for (Mask comp : components(mask & ~(Mask{1} << v)))
+        worst = std::max(worst, solve(comp));
+      if (1 + worst < best) {
+        best = 1 + worst;
+        root = v;
+      }
+    }
+    memo_[mask] = static_cast<std::uint8_t>(best);
+    best_root_[mask] = root;
+    return best;
+  }
+
+  void build_model(Mask mask, std::size_t attach, std::vector<std::size_t>& parent) {
+    solve(mask);
+    const Vertex v = best_root_.at(mask);
+    parent.at(v) = attach;
+    for (Mask comp : components(mask & ~(Mask{1} << v))) build_model(comp, v, parent);
+  }
+
+ private:
+  std::vector<Mask> components(Mask mask) const {
+    std::vector<Mask> out;
+    Mask todo = mask;
+    while (todo != 0) {
+      Mask comp = Mask{1} << __builtin_ctz(todo);
+      Mask frontier = comp;
+      while (frontier != 0) {
+        const Vertex v = static_cast<Vertex>(__builtin_ctz(frontier));
+        frontier &= frontier - 1;
+        const Mask fresh = adjacency_[v] & mask & ~comp;
+        comp |= fresh;
+        frontier |= fresh;
+      }
+      out.push_back(comp);
+      todo &= ~comp;
+    }
+    return out;
+  }
+
+  std::vector<Mask> adjacency_;
+  std::unordered_map<Mask, std::uint8_t> memo_;
+  std::unordered_map<Mask, Vertex> best_root_;
+};
+
+TreedepthResult subset_dp_with_model(const Graph& g) {
+  const std::size_t n = g.vertex_count();
+  SubsetDp dp(g);
+  const SubsetDp::Mask all = (SubsetDp::Mask{1} << n) - 1;
+  const std::size_t td = dp.solve(all);
+  std::vector<std::size_t> parent(n, RootedTree::kNoParent);
+  dp.build_model(all, RootedTree::kNoParent, parent);
+  return {td, make_coherent(g, RootedTree(parent))};
+}
+
+void expect_same_as_subset_dp(const Graph& g) {
+  const TreedepthResult expected = subset_dp_with_model(g);
+  const TreedepthResult got = exact_treedepth_with_model(g);
+  ASSERT_EQ(got.treedepth, expected.treedepth);
+  for (Vertex v = 0; v < g.vertex_count(); ++v)
+    ASSERT_EQ(got.model.parent(v), expected.model.parent(v)) << "v=" << v;
+}
+
+// Star on n vertices whose centre is the last vertex, n - 1.
+Graph star_centre_last(std::size_t n) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex leaf = 0; leaf + 1 < n; ++leaf) edges.emplace_back(leaf, n - 1);
+  return Graph(n, edges);
+}
+
+// The branch-and-bound keeps each mask's first optimal root, so the
+// treedepth and every parent pointer equal the subset DP's.
+TEST(ExactTreedepthIdentity, EveryConnectedGraphOnAtMostSixVertices) {
+  for (std::size_t n = 1; n <= 6; ++n) {
+    std::vector<std::pair<Vertex, Vertex>> pairs;
+    for (Vertex u = 0; u < n; ++u)
+      for (Vertex v = u + 1; v < n; ++v) pairs.emplace_back(u, v);
+    for (std::uint32_t pick = 0; pick < (std::uint32_t{1} << pairs.size()); ++pick) {
+      std::vector<std::pair<Vertex, Vertex>> edges;
+      for (std::size_t i = 0; i < pairs.size(); ++i)
+        if (pick >> i & 1) edges.push_back(pairs[i]);
+      const Graph g(n, edges);
+      if (!g.is_connected()) continue;
+      ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(g)) << "n=" << n << " edges=" << pick;
+    }
+  }
+}
+
+TEST(ExactTreedepthIdentity, RandomConnectedGraphs) {
+  Rng rng(19);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 2 + rng.index(13);
+    const double p = 0.1 + 0.5 * static_cast<double>(rng.index(1001)) / 1000.0;
+    const Graph g = make_random_connected(n, p, rng);
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(g)) << "trial=" << trial;
+  }
+}
+
+TEST(ExactTreedepthIdentity, PathsCyclesCliquesAndStars) {
+  for (std::size_t n = 1; n <= 14; ++n) {
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(make_path(n))) << "P_" << n;
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(make_star(n))) << "star " << n;
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(star_centre_last(n)))
+        << "star centre last " << n;
+  }
+  for (std::size_t n = 3; n <= 14; ++n)
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(make_cycle(n))) << "C_" << n;
+  for (std::size_t n = 1; n <= 10; ++n)
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(make_complete(n))) << "K_" << n;
+}
+
+TEST(ExactTreedepthIdentity, BoundedTreedepthGraphs) {
+  Rng rng(20);
+  for (std::size_t t = 2; t <= 5; ++t)
+    for (std::size_t n : {6u, 10u, 14u, 16u})
+      for (int trial = 0; trial < 2; ++trial) {
+        const auto inst = make_bounded_treedepth_graph(n, t, 0.3, rng);
+        ASSERT_NO_FATAL_FAILURE(expect_same_as_subset_dp(inst.graph))
+            << "t=" << t << " n=" << n << " trial=" << trial;
+      }
+}
+
+/// Runs f with the metrics registry enabled and returns how many masks the
+/// exact solver expanded meanwhile.
+template <typename F>
+std::uint64_t exact_expansions(F&& f) {
+  obs::registry().reset();
+  obs::registry().set_enabled(true);
+  f();
+  const std::uint64_t expanded = obs::registry().counter_value("treedepth/exact_expansions");
+  obs::registry().set_enabled(false);
+  obs::registry().reset();
+  return expanded;
+}
+
+// The subset DP expands every connected subset of a star that holds the
+// centre: 2^24 - 1 of them at n = 25.
+TEST(ExactTreedepthWork, StarWithCentreLastExpandsLinearlyManyMasks) {
+  const Graph star = star_centre_last(25);
+  std::size_t td = 0;
+  const std::uint64_t expanded = exact_expansions([&] { td = exact_treedepth(star); });
+  EXPECT_EQ(td, 2u);
+  EXPECT_LE(expanded, 25u);
+}
+
+TEST(ExactTreedepthWork, PathAndBoundedTreedepthAtTwentyFiveVertices) {
+  Rng rng(25);
+  const auto inst = make_bounded_treedepth_graph(25, 4, 0.3, rng);
+  // The path's bound is the DP's count, one mask per interval (25 * 26 / 2).
+  const std::pair<Graph, std::uint64_t> cases[] = {{make_path(25), 325}, {inst.graph, 256}};
+  for (const auto& [g, max_expanded] : cases) {
+    TreedepthResult result{0, RootedTree()};
+    const std::uint64_t expanded =
+        exact_expansions([&] { result = exact_treedepth_with_model(g); });
+    EXPECT_TRUE(is_valid_model(g, result.model));
+    EXPECT_TRUE(is_coherent_model(g, result.model));
+    EXPECT_EQ(model_depth(result.model), result.treedepth);
+    EXPECT_LE(expanded, max_expanded);
+  }
+  EXPECT_EQ(exact_treedepth(make_path(25)), treedepth_of_path(25));
+  EXPECT_LE(exact_treedepth(inst.graph), 4u);
+}
 
 }  // namespace
 }  // namespace lcert
